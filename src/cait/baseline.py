@@ -1,21 +1,28 @@
 """Trainable arc-eager dependency parser and greedy POS tagger, both with
 averaged-perceptron scoring.
 
-Desk-scale and dependency-free: training is online with a static oracle
-over projective sentences (non-projective ones are skipped and counted),
-decoding is greedy, and all randomness comes from one seed. Terminal
-cleanup after decoding guarantees every output is a valid single-rooted
-tree regardless of model quality, including the zero model.
+Desk-scale: training is online with a static oracle over projective
+sentences (non-projective ones are skipped and counted), decoding is
+greedy, and all randomness comes from one seed. Features are interned to
+matrix rows and classes (transitions or tags) to columns sorted by name;
+one numpy scorer serves training and decoding, and the lowest column among
+equal scores breaks ties on the name. Terminal cleanup after decoding
+guarantees every output is a valid single-rooted tree regardless of model
+quality, including the zero model.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence
 
-from .conllu import Sentence, Token, Treebank
+import numpy as np
+
+from . import conllu
+from .conllu import Diagnostic, Sentence, Token, Treebank
 
 __all__ = [
     "OracleError",
@@ -80,6 +87,9 @@ class ParserState:
         self.n = n
         self.heads: dict[int, int] = {}
         self.labels: dict[int, str] = {}
+        # Leftmost and rightmost dependent of each position (0: none yet).
+        self.leftmost = [0] * (n + 1)
+        self.rightmost = [0] * (n + 1)
 
     @property
     def buffer_front(self) -> int | None:
@@ -88,19 +98,36 @@ class ParserState:
     def buffer_empty(self) -> bool:
         return self.buffer_pos > self.n
 
+    def _moves(self) -> tuple[bool, bool, bool, bool]:
+        """Whether SHIFT, LEFT arcs, RIGHT arcs and REDUCE are allowed."""
+        buffer = self.buffer_pos <= self.n
+        s0 = self.stack[-1] if self.stack else 0
+        attached = s0 in self.heads
+        return (
+            buffer,
+            buffer and bool(s0) and not attached,
+            buffer and bool(s0),
+            attached,
+        )
+
     def valid_transitions(self, label_set: Sequence[str]) -> list[str]:
-        out = []
-        b0 = self.buffer_front
-        if b0 is not None:
-            out.append(SHIFT)
-            if self.stack:
-                s0 = self.stack[-1]
-                if s0 not in self.heads:
-                    out.extend(_LEFT + l for l in label_set)
-                out.extend(_RIGHT + l for l in label_set)
-        if self.stack and self.stack[-1] in self.heads:
+        shift, left, right, reduce = self._moves()
+        out = [SHIFT] if shift else []
+        if left:
+            out.extend(_LEFT + l for l in label_set)
+        if right:
+            out.extend(_RIGHT + l for l in label_set)
+        if reduce:
             out.append(REDUCE)
         return out
+
+    def _attach(self, child: int, head: int, label: str) -> None:
+        self.heads[child] = head
+        self.labels[child] = label
+        if not self.leftmost[head] or child < self.leftmost[head]:
+            self.leftmost[head] = child
+        if child > self.rightmost[head]:
+            self.rightmost[head] = child
 
     def apply(self, transition: str) -> None:
         b0 = self.buffer_front
@@ -110,12 +137,9 @@ class ParserState:
         elif transition == REDUCE:
             self.stack.pop()
         elif transition.startswith(_LEFT):
-            s0 = self.stack.pop()
-            self.heads[s0] = b0
-            self.labels[s0] = transition[len(_LEFT):]
+            self._attach(self.stack.pop(), b0, transition[len(_LEFT):])
         elif transition.startswith(_RIGHT):
-            self.heads[b0] = self.stack[-1]
-            self.labels[b0] = transition[len(_RIGHT):]
+            self._attach(b0, self.stack[-1], transition[len(_RIGHT):])
             self.stack.append(b0)
             self.buffer_pos += 1
         else:
@@ -123,23 +147,28 @@ class ParserState:
 
 
 def static_oracle(gold: Sentence, state: ParserState) -> str:
-    """Next step of the canonical transition sequence for a projective tree."""
+    """Next step of the canonical transition sequence for a projective tree.
+
+    Token ``i`` of the state is ``gold.tokens[i - 1]``, as in training,
+    where sentences come from a strict read with ids 1..n.
+    """
     if state.buffer_empty():
         raise OracleError("no transition from a terminal state")
-    b0 = state.buffer_front
-    gold_heads = {t.id: t.head for t in gold.tokens}
-    gold_labels = {t.id: t.deprel for t in gold.tokens}
     if not state.stack:
         return SHIFT
+    toks = gold.tokens
+    b0 = state.buffer_pos
     s0 = state.stack[-1]
-    if gold_heads[s0] == b0:
+    s0_gold = toks[s0 - 1]
+    if s0_gold.head == b0:
         if s0 in state.heads:
             raise OracleError(f"token {s0} already attached; tree not projective")
-        return _LEFT + gold_labels[s0]
-    if gold_heads[b0] == s0:
-        return _RIGHT + gold_labels[b0]
+        return _LEFT + s0_gold.deprel
+    b0_gold = toks[b0 - 1]
+    if b0_gold.head == s0:
+        return _RIGHT + b0_gold.deprel
     needs_reduce = any(
-        gold_heads[b0] == k or gold_heads[k] == b0 for k in state.stack[:-1]
+        b0_gold.head == k or toks[k - 1].head == b0 for k in state.stack[:-1]
     )
     if needs_reduce:
         if s0 not in state.heads:
@@ -162,12 +191,13 @@ def oracle_sequence(gold: Sentence) -> list[str]:
     return seq
 
 
-def _cleanup(state: ParserState) -> tuple[dict[int, int], dict[int, str]]:
+def _cleanup(state: ParserState) -> tuple[dict[int, int], dict[int, str], list[int]]:
     # First headless token becomes the root; later headless tokens attach
-    # to it as "dep".
+    # to it as "dep" and are returned as the third element.
     heads = dict(state.heads)
     labels = dict(state.labels)
     root = None
+    attached = []
     for i in range(1, state.n + 1):
         if i not in heads:
             if root is None:
@@ -177,7 +207,33 @@ def _cleanup(state: ParserState) -> tuple[dict[int, int], dict[int, str]]:
             else:
                 heads[i] = root
                 labels[i] = "dep"
-    return heads, labels
+                attached.append(i)
+    return heads, labels, attached
+
+
+class _Transitions:
+    """Transition names sorted into class indices, with the candidate
+    index array of each (shift, left, right, reduce) combination."""
+
+    def __init__(self, label_set: Sequence[str]):
+        self.label_set = list(label_set)
+        self.names = sorted(
+            {SHIFT, REDUCE}
+            | {_LEFT + l for l in label_set}
+            | {_RIGHT + l for l in label_set}
+        )
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self._candidates: dict[tuple[bool, ...], np.ndarray] = {}
+
+    def candidates(self, state: ParserState) -> np.ndarray:
+        """Valid transition indices for ``state``, in ascending order."""
+        key = state._moves()
+        found = self._candidates.get(key)
+        if found is None:
+            found = self._candidates[key] = np.array(sorted(
+                {self.index[t] for t in state.valid_transitions(self.label_set)}
+            ), dtype=np.intp)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -193,125 +249,174 @@ def _dist_bucket(a: int, b: int) -> str:
     return ">6"
 
 
-def _parser_features(state: ParserState, tokens: Sequence[Token]) -> list[str]:
-    def form(i):
-        return tokens[i - 1].form.lower() if i else "<none>"
+def _parser_columns(tokens: Sequence[Token]) -> tuple[list[str], list[str]]:
+    """Lowercased forms and UPOS indexed by token position; 0 is "<none>"."""
+    forms = ["<none>"] + [t.form.lower() for t in tokens]
+    tags = ["<none>"] + [t.upos for t in tokens]
+    return forms, tags
 
-    def upos(i):
-        return tokens[i - 1].upos if i else "<none>"
 
-    s0 = state.stack[-1] if state.stack else 0
-    s1 = state.stack[-2] if len(state.stack) > 1 else 0
+def _parser_features(
+    state: ParserState, forms: Sequence[str], tags: Sequence[str]
+) -> list[str]:
+    stack = state.stack
+    s0 = stack[-1] if stack else 0
+    s1 = stack[-2] if len(stack) > 1 else 0
     b0 = state.buffer_front or 0
     b1 = b0 + 1 if b0 and b0 + 1 <= state.n else 0
+    s0f, s0p, b0f, b0p = forms[s0], tags[s0], forms[b0], tags[b0]
+    s1p, b1p = tags[s1], tags[b1]
+    labels = state.labels
 
-    def edge_dep(head: int, leftmost: bool) -> str:
-        best = None
-        for child, h in state.heads.items():
-            if h != head:
-                continue
-            if best is None or (child < best if leftmost else child > best):
-                best = child
-        return state.labels[best] if best is not None else "<none>"
+    def dep(child: int) -> str:
+        return labels[child] if child else "<none>"
 
     feats = [
         "bias",
-        f"s0f={form(s0)}",
-        f"s0p={upos(s0)}",
-        f"s1f={form(s1)}",
-        f"s1p={upos(s1)}",
-        f"b0f={form(b0)}",
-        f"b0p={upos(b0)}",
-        f"b1f={form(b1)}",
-        f"b1p={upos(b1)}",
-        f"s0f|b0f={form(s0)}|{form(b0)}",
-        f"s0p|b0p={upos(s0)}|{upos(b0)}",
-        f"s0p|b0f={upos(s0)}|{form(b0)}",
-        f"s0f|b0p={form(s0)}|{upos(b0)}",
-        f"s0p|s1p={upos(s0)}|{upos(s1)}",
-        f"b0p|b1p={upos(b0)}|{upos(b1)}",
+        f"s0f={s0f}",
+        f"s0p={s0p}",
+        f"s1f={forms[s1]}",
+        f"s1p={s1p}",
+        f"b0f={b0f}",
+        f"b0p={b0p}",
+        f"b1f={forms[b1]}",
+        f"b1p={b1p}",
+        f"s0f|b0f={s0f}|{b0f}",
+        f"s0p|b0p={s0p}|{b0p}",
+        f"s0p|b0f={s0p}|{b0f}",
+        f"s0f|b0p={s0f}|{b0p}",
+        f"s0p|s1p={s0p}|{s1p}",
+        f"b0p|b1p={b0p}|{b1p}",
     ]
     if s0:
-        feats.append(f"s0ld={edge_dep(s0, True)}")
-        feats.append(f"s0rd={edge_dep(s0, False)}")
+        feats.append(f"s0ld={dep(state.leftmost[s0])}")
+        feats.append(f"s0rd={dep(state.rightmost[s0])}")
         feats.append(f"s0hashead={s0 in state.heads}")
     if b0:
-        feats.append(f"b0ld={edge_dep(b0, True)}")
+        feats.append(f"b0ld={dep(state.leftmost[b0])}")
     if s0 and b0:
-        feats.append(f"dist={_dist_bucket(s0, b0)}")
-        feats.append(f"dist|s0p|b0p={_dist_bucket(s0, b0)}|{upos(s0)}|{upos(b0)}")
+        dist = _dist_bucket(s0, b0)
+        feats.append(f"dist={dist}")
+        feats.append(f"dist|s0p|b0p={dist}|{s0p}|{b0p}")
     return feats
 
 
-class AveragedWeights:
-    """Multiclass perceptron weights with lazily accumulated averages."""
+def _predict(
+    rows: dict[str, int],
+    matrix: np.ndarray,
+    features: Sequence[str],
+    candidates: np.ndarray,
+) -> int:
+    """The candidate class with the highest score; the lowest index wins ties.
 
-    def __init__(self):
-        self.weights: dict[str, dict[str, float]] = {}
-        self._totals: dict[tuple[str, str], float] = {}
-        self._stamps: dict[tuple[str, str], int] = {}
+    Rows are summed in feature order: ``np.add.accumulate`` fixes that
+    order, so float scores, and with them the ties, are reproducible.
+    """
+    idx = [r for r in map(rows.get, features) if r is not None]
+    if not idx:
+        return int(candidates[0])
+    scores = np.add.accumulate(matrix.take(idx, axis=0), axis=0)[-1]
+    return int(candidates[scores.take(candidates).argmax()])
+
+
+class AveragedWeights:
+    """Multiclass perceptron weights with lazily accumulated averages.
+
+    Weights, their running totals and the update at which each was last
+    changed are integer arrays indexed ``[feature row, class]``. Rows and
+    classes are added as updates first name them, so integer weights keep
+    every score exact.
+    """
+
+    def __init__(self, classes: Sequence[str] = ()):
+        self.classes = list(classes)
+        self._columns = {c: i for i, c in enumerate(self.classes)}
+        self.rows: dict[str, int] = {}
+        self.weights = np.zeros((0, len(self.classes)), dtype=np.int32)
+        self._totals = np.zeros(self.weights.shape, dtype=np.int64)
+        self._stamps = np.zeros(self.weights.shape, dtype=np.int32)
         self.updates = 0
 
-    def score(self, features: Sequence[str]) -> dict[str, float]:
-        scores: dict[str, float] = {}
-        for f in features:
-            row = self.weights.get(f)
-            if not row:
-                continue
-            for cls, w in row.items():
-                scores[cls] = scores.get(cls, 0.0) + w
-        return scores
+    def _fit(self, n_rows: int, n_cols: int) -> None:
+        # Rows grow by doubling so that a run costs amortized O(1) copies.
+        have_rows, have_cols = self.weights.shape
+        if n_rows <= have_rows and n_cols <= have_cols:
+            return
+        shape = (max(n_rows, 2 * have_rows), max(n_cols, have_cols))
+        for name in ("weights", "_totals", "_stamps"):
+            old = getattr(self, name)
+            new = np.zeros(shape, dtype=old.dtype)
+            new[:have_rows, :have_cols] = old
+            setattr(self, name, new)
 
-    def _bump(self, feature: str, cls: str, delta: float) -> None:
-        key = (feature, cls)
-        row = self.weights.setdefault(feature, {})
-        current = row.get(cls, 0.0)
-        self._totals[key] = self._totals.get(key, 0.0) + (
-            self.updates - self._stamps.get(key, 0)
-        ) * current
-        self._stamps[key] = self.updates
-        row[cls] = current + delta
+    def _column(self, cls: str) -> int:
+        col = self._columns.get(cls)
+        if col is None:
+            col = self._columns[cls] = len(self.classes)
+            self.classes.append(cls)
+            self._fit(len(self.rows), len(self.classes))
+        return col
+
+    def _row(self, feature: str) -> int:
+        row = self.rows.get(feature)
+        if row is None:
+            row = self.rows[feature] = len(self.rows)
+            self._fit(len(self.rows), len(self.classes))
+        return row
 
     def update(self, truth: str, guess: str, features: Sequence[str]) -> None:
+        """One perceptron step; ``features`` must not repeat a string."""
         self.updates += 1
         if truth == guess:
             return
-        for f in features:
-            self._bump(f, truth, +1.0)
-            self._bump(f, guess, -1.0)
+        rows = [self._row(f) for f in features]
+        for cls, delta in ((truth, 1), (guess, -1)):
+            col = self._column(cls)
+            current = self.weights[rows, col]
+            self._totals[rows, col] += (
+                np.int64(self.updates) - self._stamps[rows, col]
+            ) * current
+            self._stamps[rows, col] = self.updates
+            self.weights[rows, col] = current + delta
 
     def averaged(self) -> dict[str, dict[str, float]]:
-        """Mean of the per-update weight snapshots."""
+        """Mean of the per-update weight snapshots, for every (feature,
+        class) pair an update touched and whose mean is not zero."""
         if self.updates == 0:
             return {}
+        n = len(self.rows)
+        stamps = self._stamps[:n]
+        # A value set at update s is part of snapshots s..U inclusive.
+        totals = self._totals[:n] + (
+            np.int64(self.updates + 1) - stamps
+        ) * self.weights[:n]
+        means = totals / self.updates
+        keep = (stamps > 0) & (means != 0.0)
+        features = list(self.rows)
         out: dict[str, dict[str, float]] = {}
-        for feature, row in self.weights.items():
-            for cls, w in row.items():
-                key = (feature, cls)
-                # A value set at update s is part of snapshots s..U inclusive.
-                total = self._totals.get(key, 0.0) + (
-                    self.updates + 1 - self._stamps.get(key, 0)
-                ) * w
-                avg = total / self.updates
-                if avg != 0.0:
-                    out.setdefault(feature, {})[cls] = avg
+        for r, c, mean in zip(*np.nonzero(keep), means[keep].tolist()):
+            out.setdefault(features[r], {})[self.classes[c]] = mean
         return out
 
 
-def _predict(
-    weights: dict[str, dict[str, float]],
-    features: Sequence[str],
-    candidates: Sequence[str],
-) -> str:
-    scores: dict[str, float] = {}
-    for f in features:
-        row = weights.get(f)
-        if not row:
-            continue
-        for cls, w in row.items():
-            scores[cls] = scores.get(cls, 0.0) + w
-    # Ties break on the transition/tag name for run-to-run determinism.
-    return min(candidates, key=lambda c: (-scores.get(c, 0.0), c))
+def _compile(
+    weights: dict[str, dict[str, float]], classes: Sequence[str]
+) -> tuple[dict[str, int], np.ndarray]:
+    """Averaged float weights as feature rows of a ``[row, class]`` matrix;
+    entries for classes outside ``classes`` are dropped."""
+    columns = {c: i for i, c in enumerate(classes)}
+    rows = {feature: r for r, feature in enumerate(weights)}
+    matrix = np.zeros((len(rows), len(columns)))
+    cells = [
+        (r, columns[cls], w)
+        for r, row in enumerate(weights.values())
+        for cls, w in row.items()
+        if cls in columns
+    ]
+    if cells:
+        rs, cs, ws = zip(*cells)
+        matrix[list(rs), list(cs)] = ws
+    return rows, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +425,18 @@ def _predict(
 
 @dataclass
 class ParserModel:
+    """Averaged weights are compiled for decoding on the first ``parse``
+    and not again; treat ``weights`` and ``label_set`` as read-only."""
+
     weights: dict[str, dict[str, float]]
     label_set: list[str]
     version: int = FEATURE_TEMPLATE_VERSION
     n_nonprojective_skipped: int = 0
+
+    @cached_property
+    def _decoder(self) -> tuple[_Transitions, dict[str, int], np.ndarray]:
+        transitions = _Transitions(self.label_set or ["dep"])
+        return (transitions, *_compile(self.weights, transitions.names))
 
 
 def train_parser(tb: Treebank, epochs: int = 5, seed: int = 0) -> ParserModel:
@@ -335,6 +448,9 @@ def train_parser(tb: Treebank, epochs: int = 5, seed: int = 0) -> ParserModel:
     sentences = [s for s in tb.sentences if s.tokens]
     if not sentences:
         raise ValueError("cannot train on an empty treebank")
+    for s in sentences:
+        if not _ids_in_order(s):
+            raise ValueError(f"sentence {s.sent_id}: token ids are not 1..n")
     projective = [s for s in sentences if is_projective(s)]
     skipped = len(sentences) - len(projective)
     if not projective:
@@ -343,40 +459,81 @@ def train_parser(tb: Treebank, epochs: int = 5, seed: int = 0) -> ParserModel:
         {t.deprel for s in projective for t in s.tokens if t.head != 0}
     ) or ["dep"]
 
-    weights = AveragedWeights()
+    transitions = _Transitions(label_set)
+    names = transitions.names
+    weights = AveragedWeights(names)
+    columns = [_parser_columns(s.tokens) for s in projective]
     rng = random.Random(seed)
     order = list(range(len(projective)))
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
             gold = projective[idx]
+            forms, tags = columns[idx]
             state = ParserState(len(gold.tokens))
             while not state.buffer_empty():
-                features = _parser_features(state, gold.tokens)
+                features = _parser_features(state, forms, tags)
                 truth = static_oracle(gold, state)
-                candidates = state.valid_transitions(label_set)
-                guess = _predict(weights.weights, features, candidates)
-                weights.update(truth, guess, features)
+                guess = _predict(
+                    weights.rows, weights.weights, features,
+                    transitions.candidates(state),
+                )
+                weights.update(truth, names[guess], features)
                 state.apply(truth)
     return ParserModel(weights.averaged(), label_set, FEATURE_TEMPLATE_VERSION, skipped)
 
 
+def _ids_in_order(sentence: Sentence) -> bool:
+    return all(t.id == i for i, t in enumerate(sentence.tokens, 1))
+
+
+def _needs_normalize(sentence: Sentence) -> bool:
+    """Token ids other than 1..n, or multiword ranges ``normalize`` would
+    drop: decoding by position would give an invalid tree."""
+    if not _ids_in_order(sentence):
+        return True
+    prev_end = 0
+    for r in sorted(sentence.mwt, key=lambda r: (r.start, r.end)):
+        if not prev_end < r.start < r.end <= len(sentence.tokens):
+            return True
+        prev_end = r.end
+    return False
+
+
 def parse(model: ParserModel, sentence: Sentence) -> Sentence:
-    """Greedy arc-eager decoding; the output always validates cleanly."""
+    """Greedy arc-eager decoding; the output always validates cleanly.
+
+    A sentence whose ids are not 1..n, or whose multiword ranges are
+    invalid, goes through ``conllu.normalize`` first. The result's
+    diagnostics list what was done: normalize's repairs, then one
+    ``cleanup-attach`` entry naming the tokens that cleanup attached to
+    the root because decoding left them headless.
+    """
     if not sentence.tokens:
         raise ValueError("cannot parse an empty sentence")
+    diagnostics: list[Diagnostic] = []
+    if _needs_normalize(sentence):
+        sentence = conllu.normalize(sentence)
+        diagnostics = list(sentence.diagnostics)
+    transitions, rows, matrix = model._decoder
+    forms, tags = _parser_columns(sentence.tokens)
     state = ParserState(len(sentence.tokens))
-    label_set = model.label_set or ["dep"]
     while not state.buffer_empty():
-        features = _parser_features(state, sentence.tokens)
-        candidates = state.valid_transitions(label_set)
-        state.apply(_predict(model.weights, features, candidates))
-    heads, labels = _cleanup(state)
+        features = _parser_features(state, forms, tags)
+        best = _predict(rows, matrix, features, transitions.candidates(state))
+        state.apply(transitions.names[best])
+    heads, labels, attached = _cleanup(state)
+    if attached:
+        diagnostics.append(Diagnostic(
+            "cleanup-attach",
+            f"attached {len(attached)} headless token(s) to the root as dep",
+            tuple(attached),
+        ))
     tokens = [
         replace(t, feats=dict(t.feats), head=heads[t.id], deprel=labels[t.id])
         for t in sentence.tokens
     ]
-    return replace(sentence, tokens=tokens)
+    return replace(sentence, tokens=tokens, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +542,18 @@ def parse(model: ParserModel, sentence: Sentence) -> Sentence:
 
 @dataclass
 class TaggerModel:
+    """Averaged weights are compiled for decoding on the first ``tag`` and
+    not again; treat ``weights`` and ``classes`` as read-only."""
+
     weights: dict[str, dict[str, float]]
     tagdict: dict[str, str]
     classes: list[str]
     version: int = FEATURE_TEMPLATE_VERSION
+
+    @cached_property
+    def _decoder(self) -> tuple[list[str], dict[str, int], np.ndarray]:
+        names = sorted(set(self.classes or ["X"]))
+        return (names, *_compile(self.weights, names))
 
 
 # Words at least this frequent and unambiguous in training bypass the model.
@@ -398,10 +563,9 @@ _START = ("<s1>", "<s2>")
 
 
 def _tagger_features(
-    words: Sequence[str], i: int, prev: str, prev2: str
+    lowers: Sequence[str], i: int, prev: str, prev2: str
 ) -> list[str]:
-    word = words[i]
-    lower = word.lower()
+    lower = lowers[i]
     feats = [
         "bias",
         f"w={lower}",
@@ -414,10 +578,10 @@ def _tagger_features(
         f"t-1={prev}",
         f"t-2={prev2}",
         f"t-1|t-2={prev}|{prev2}",
-        f"w-1={words[i - 1].lower() if i >= 1 else '<s>'}",
-        f"w-2={words[i - 2].lower() if i >= 2 else '<s>'}",
-        f"w+1={words[i + 1].lower() if i + 1 < len(words) else '</s>'}",
-        f"w+2={words[i + 2].lower() if i + 2 < len(words) else '</s>'}",
+        f"w-1={lowers[i - 1] if i >= 1 else '<s>'}",
+        f"w-2={lowers[i - 2] if i >= 2 else '<s>'}",
+        f"w+1={lowers[i + 1] if i + 1 < len(lowers) else '</s>'}",
+        f"w+2={lowers[i + 2] if i + 2 < len(lowers) else '</s>'}",
         f"t-1|w={prev}|{lower}",
     ]
     return feats
@@ -442,20 +606,23 @@ def train_tagger(tb: Treebank, epochs: int = 5, seed: int = 0) -> TaggerModel:
     }
     class_list = sorted(classes)
 
-    weights = AveragedWeights()
+    weights = AveragedWeights(class_list)
+    everything = np.arange(len(class_list), dtype=np.intp)
+    lowered = [[t.form.lower() for t in s.tokens] for s in sentences]
     rng = random.Random(seed)
     order = list(range(len(sentences)))
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            sentence = sentences[idx]
-            words = [t.form for t in sentence.tokens]
+            lowers = lowered[idx]
             prev, prev2 = _START
-            for i, tok in enumerate(sentence.tokens):
-                guess = tagdict.get(words[i].lower())
+            for i, tok in enumerate(sentences[idx].tokens):
+                guess = tagdict.get(lowers[i])
                 if guess is None:
-                    features = _tagger_features(words, i, prev, prev2)
-                    guess = _predict(weights.weights, features, class_list)
+                    features = _tagger_features(lowers, i, prev, prev2)
+                    guess = class_list[
+                        _predict(weights.rows, weights.weights, features, everything)
+                    ]
                     weights.update(tok.upos, guess, features)
                 prev2 = prev
                 prev = guess
@@ -466,14 +633,16 @@ def tag(model: TaggerModel, sentence: Sentence) -> Sentence:
     """Fill UPOS only; every other field is preserved."""
     if not sentence.tokens:
         raise ValueError("cannot tag an empty sentence")
-    words = [t.form for t in sentence.tokens]
+    names, rows, matrix = model._decoder
+    everything = np.arange(len(names), dtype=np.intp)
+    lowers = [t.form.lower() for t in sentence.tokens]
     prev, prev2 = _START
     tags = []
-    for i in range(len(words)):
-        guess = model.tagdict.get(words[i].lower())
+    for i in range(len(lowers)):
+        guess = model.tagdict.get(lowers[i])
         if guess is None:
-            features = _tagger_features(words, i, prev, prev2)
-            guess = _predict(model.weights, features, model.classes or ["X"])
+            features = _tagger_features(lowers, i, prev, prev2)
+            guess = names[_predict(rows, matrix, features, everything)]
         tags.append(guess)
         prev2 = prev
         prev = guess
@@ -514,6 +683,16 @@ def save_model(model: ParserModel | TaggerModel, sink: str | Path | IO) -> None:
     Path(sink).write_text(text, encoding="utf-8")
 
 
+def _number(kind: type, text: str, what: str, line_no: int):
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ModelFormatError(
+            f"line {line_no}: {what} {text!r} is not {expected}"
+        ) from None
+
+
 def load_model(source: str | Path | IO) -> ParserModel | TaggerModel:
     if hasattr(source, "read"):
         text = source.read()
@@ -525,7 +704,7 @@ def load_model(source: str | Path | IO) -> ParserModel | TaggerModel:
     header = lines[0].split("\t")
     if len(header) != 3 or header[0] != MODEL_MAGIC:
         raise ModelFormatError(f"bad magic header {lines[0]!r}; expected {MODEL_MAGIC}")
-    kind, version = header[1], int(header[2])
+    kind, version = header[1], _number(int, header[2], "version", 1)
     if version != FEATURE_TEMPLATE_VERSION:
         raise ModelFormatError(f"unsupported feature template version {version}")
     weights: dict[str, dict[str, float]] = {}
@@ -538,7 +717,9 @@ def load_model(source: str | Path | IO) -> ParserModel | TaggerModel:
             continue
         fields = line.split("\t")
         if fields[0] == "w" and len(fields) == 4:
-            weights.setdefault(fields[1], {})[fields[2]] = float(fields[3])
+            weights.setdefault(fields[1], {})[fields[2]] = _number(
+                float, fields[3], "weight", line_no
+            )
         elif fields[0] == "label" and len(fields) == 2:
             labels.append(fields[1])
         elif fields[0] == "class" and len(fields) == 2:
@@ -546,8 +727,9 @@ def load_model(source: str | Path | IO) -> ParserModel | TaggerModel:
         elif fields[0] == "tagdict" and len(fields) == 3:
             tagdict[fields[1]] = fields[2]
         elif fields[0] == "meta" and len(fields) == 3:
+            value = _number(int, fields[2], f"meta {fields[1]}", line_no)
             if fields[1] == "nonprojective_skipped":
-                skipped = int(fields[2])
+                skipped = value
         else:
             raise ModelFormatError(f"line {line_no}: unrecognized row {line!r}")
     if kind == "parser":

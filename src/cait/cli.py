@@ -348,6 +348,17 @@ def cmd_parse(args: argparse.Namespace) -> int:
     parsed = Treebank(
         [baseline.parse(model, s) for s in tb.sentences], tb.split, tb.provenance
     )
+    # parse's diagnostics are normalize's repairs, then cleanup's attachments.
+    normalized = attached = 0
+    for sentence in parsed.sentences:
+        cleanup = [d for d in sentence.diagnostics if d.code == "cleanup-attach"]
+        normalized += len(sentence.diagnostics) > len(cleanup)
+        attached += sum(len(d.token_ids) for d in cleanup)
+    log.info(
+        "parsed %d sentences: %d normalized before decoding, "
+        "%d tokens attached to the root by cleanup",
+        len(parsed.sentences), normalized, attached,
+    )
     sink, close = _open_out(args.out)
     try:
         write_conllu(parsed, sink)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 
@@ -20,10 +21,15 @@ from cait.baseline import (
     train_parser,
     train_tagger,
 )
-from cait.conllu import Treebank, validate
+from cait.conllu import Strictness, Treebank, conllu_string, read_conllu, validate
 from cait.evaluation import evaluate_treebanks, tag_accuracy
 from helpers import P, build_sentence, build_treebank, london_gold
-from synth import childes_treebank, random_fuzz_sentence
+from synth import (
+    childes_treebank,
+    formal_treebank,
+    random_fuzz_sentence,
+    random_valid_sentence,
+)
 
 
 def replay(sentence):
@@ -215,6 +221,73 @@ def test_parse_outputs_validate_for_arbitrary_models():
         assert validate(parse(model, sentence)) == []
 
 
+def test_zero_model_takes_lowest_named_valid_transition():
+    # Every score is 0: SHIFT first (the only move), then "LEFT:nsubj" is
+    # the lowest name among SHIFT, LEFT:* and RIGHT:*.
+    model = ParserModel({}, ["obj", "nsubj"])
+    rows = [("a", "a", "X", 0, "root")] * 3
+    parsed = parse(model, build_sentence("z", rows))
+    assert [(t.head, t.deprel) for t in parsed.tokens] == [
+        (2, "nsubj"), (3, "nsubj"), (0, "root"),
+    ]
+
+
+def test_equal_scores_break_on_transition_name():
+    model = ParserModel({"bias": {"SHIFT": 1.0, "RIGHT:obj": 1.0}}, ["obj"])
+    rows = [("a", "a", "X", 0, "root")] * 2
+    parsed = parse(model, build_sentence("t", rows))
+    assert [(t.head, t.deprel) for t in parsed.tokens] == [(0, "root"), (1, "obj")]
+
+
+_BAD_IDS = """# sent_id = dup
+1\tthe\t_\tDET\t_\t_\t2\tdet\t_\t_
+2\tdog\t_\tNOUN\t_\t_\t0\troot\t_\t_
+1\tit\t_\tPRON\t_\t_\t2\tnsubj\t_\t_
+2\truns\t_\tVERB\t_\t_\t0\troot\t_\t_
+
+# sent_id = gap
+1\tthe\t_\tDET\t_\t_\t3\tdet\t_\t_
+3\tdog\t_\tNOUN\t_\t_\t0\troot\t_\t_
+7\tbarks\t_\tVERB\t_\t_\t3\tdep\t_\t_
+
+# sent_id = mwt
+1-5\tgonna\t_\t_\t_\t_\t_\t_\t_\t_
+1\tgon\t_\tVERB\t_\t_\t0\troot\t_\t_
+2\tna\t_\tPART\t_\t_\t1\tmark\t_\t_
+
+"""
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_parse_normalizes_bad_ids_and_multiword_ranges(epochs):
+    tb = read_conllu(_BAD_IDS.encode(), Strictness.LENIENT)
+    assert [validate(s) != [] for s in tb.sentences] == [True, True, True]
+    model = train_parser(childes_treebank(20, seed=1), epochs=epochs, seed=0)
+    for sentence in tb.sentences:
+        parsed = parse(model, sentence)
+        assert validate(parsed) == [], sentence.sent_id
+        assert [t.form for t in parsed.tokens] == [t.form for t in sentence.tokens]
+        assert parsed.diagnostics[0].code in ("renumber", "drop-mwt")
+
+
+def test_training_rejects_ids_out_of_order():
+    tb = read_conllu(_BAD_IDS.encode(), Strictness.LENIENT)
+    with pytest.raises(ValueError, match="sentence gap: token ids"):
+        train_parser(Treebank(tb.sentences[1:2]), epochs=1, seed=0)
+
+
+def test_parse_reports_cleanup_attachments():
+    # The zero model attaches each token to the next; a model that always
+    # shifts leaves every token headless, so cleanup attaches all but one.
+    model = ParserModel({"bias": {"SHIFT": 1.0}}, ["dep"])
+    parsed = parse(model, build_sentence("c", [("a", "a", "X", 0, "root")] * 4))
+    assert [t.head for t in parsed.tokens] == [0, 1, 1, 1]
+    assert [(d.code, d.token_ids) for d in parsed.diagnostics] == [
+        ("cleanup-attach", (2, 3, 4)),
+    ]
+    assert parse(ParserModel({}, ["dep"]), parsed).diagnostics == []
+
+
 # ---------------------------------------------------------------------------
 # Tagger
 # ---------------------------------------------------------------------------
@@ -279,6 +352,12 @@ def test_tagger_fills_upos_only():
         )
 
 
+def test_zero_tagger_takes_lowest_named_class():
+    model = TaggerModel({}, {}, ["VERB", "NOUN", "ADJ"])
+    tagged = tag(model, build_sentence("z", [("a", "a", "X", 0, "root")] * 3))
+    assert [t.upos for t in tagged.tokens] == ["ADJ"] * 3
+
+
 def test_tagger_determinism():
     tb = childes_treebank(50, seed=8)
     a = train_tagger(tb, epochs=3, seed=42)
@@ -328,3 +407,67 @@ def test_model_files_are_deterministic(tmp_path):
 def test_bad_magic_rejected():
     with pytest.raises(ModelFormatError):
         load_model(io.StringIO("NOTAMODEL\tparser\t1\n"))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("CAITB1\tparser\tone\n", "line 1"),
+    ("CAITB1\tparser\t1\nw\tbias\tSHIFT\theavy\n", "line 2"),
+    ("CAITB1\tparser\t1\nlabel\tdep\nmeta\tnonprojective_skipped\t2.5\n",
+     "line 3"),
+])
+def test_bad_numbers_name_the_line(text, line):
+    with pytest.raises(ModelFormatError, match=line):
+        load_model(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# Byte identity with the dict-scored perceptron these digests were recorded
+# from: model files and decoded output must not change with the scorer.
+# ---------------------------------------------------------------------------
+
+_MODEL_DIGESTS = {
+    ("parser", 0): "60b72b2cb875571210568b6355b95beb21972d875f6dab6b12e10088f8bcbe17",
+    ("parser", 1): "e3b0507eb9b489b67c65f70bb58d48f218e0b6ce159511cad3699d5e0d5a37f8",
+    ("parser", 2): "03326b3a9623261cc5a9776641bc22222f8a741e3cd914baa08b03767bfea31c",
+    ("tagger", 0): "04463587748016bfdd313fbe484d97402926b6b7ee4a1166872b43a2b6aac1e9",
+    ("tagger", 1): "83223dc2e27e80c325b41a831ec938733b100a895cf8bc0648e7a5caf2e5e269",
+    ("tagger", 2): "2af5a5e3e1f15e1bc5b8433cd88141961e86aae208240b9936c4fae84fc3517e",
+}
+_PARSE_DIGEST = "73f8b9e26c36b10c09d6585e0e7c6243a486d522232a10266ca7dd4e31397ce7"
+_TAG_DIGEST = "9ac64416fbdc4fc6c280ace04c840b8338174d6301df637667b8338685f2f1d2"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digest_models():
+    train = Treebank(childes_treebank(300).sentences + formal_treebank(30).sentences)
+    trainers = {"parser": train_parser, "tagger": train_tagger}
+    return {
+        (kind, seed): trainers[kind](train, epochs=3, seed=seed)
+        for kind, seed in _MODEL_DIGESTS
+    }
+
+
+@pytest.mark.parametrize("kind, seed", sorted(_MODEL_DIGESTS))
+def test_model_files_match_recorded_digests(digest_models, kind, seed):
+    sink = io.StringIO()
+    save_model(digest_models[kind, seed], sink)
+    assert _sha(sink.getvalue()) == _MODEL_DIGESTS[kind, seed]
+
+
+def test_decoded_output_matches_recorded_digests(digest_models):
+    rng = random.Random(12)
+    held = (
+        childes_treebank(60, seed=11).sentences
+        + formal_treebank(10, seed=11).sentences
+        + [random_valid_sentence(rng, f"l80-{i}", 80, 80) for i in range(2)]
+        + [random_valid_sentence(rng, "l320", 320, 320)]
+    )
+    parser, tagger = digest_models["parser", 0], digest_models["tagger", 0]
+    parsed = Treebank([parse(parser, s) for s in held])
+    tagged = Treebank([tag(tagger, s) for s in held])
+    assert _sha(conllu_string(parsed)) == _PARSE_DIGEST
+    assert _sha(conllu_string(tagged)) == _TAG_DIGEST

@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cait
 from cait.cli import main
 from cait.conllu import Strictness, read_conllu, write_conllu
 from cxn_fixture import UTTERANCES
@@ -403,6 +409,36 @@ def test_parse_accepts_unannotated_input(capsys, tmp_path):
     assert code == 0
     out_tb = read_conllu(parsed)  # strict read: output is a valid tree
     assert sum(1 for t in out_tb.sentences[0].tokens if t.head == 0) == 1
+
+
+def test_parse_info_log_leaves_outputs_unchanged(capsys, tmp_path):
+    train_path = tmp_path / "train.conllu"
+    write_conllu(childes_treebank(30, seed=16), train_path)
+    model = tmp_path / "m.model"
+    run(capsys, "train", "--input", str(train_path), "--model", str(model),
+        "--epochs", "2")
+    rng = random.Random(17)
+    raw = tmp_path / "raw.conllu"
+    write_conllu(
+        build_treebank(random_malformed_sentence(rng, f"m{i}") for i in range(60)),
+        raw,
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cait.__file__).parents[1]))
+    outputs = {}
+    for level in ("warning", "info"):
+        out_path = tmp_path / f"{level}.conllu"
+        base = [sys.executable, "-m", "cait.cli", "--log-level", level, "parse",
+                "--input", str(raw), "--model", str(model)]
+        to_file = subprocess.run(base + ["--out", str(out_path)], env=env,
+                                 capture_output=True, check=True)
+        to_stdout = subprocess.run(base, env=env, capture_output=True, check=True)
+        outputs[level] = (out_path.read_bytes(), to_file.stdout, to_stdout.stdout)
+        logs = to_file.stderr.decode("utf-8")
+    assert outputs["warning"] == outputs["info"]
+    assert outputs["info"][0] == outputs["info"][2]
+    assert outputs["info"][1] == b""
+    assert "normalized before decoding" in logs
+    assert len(read_conllu(tmp_path / "info.conllu")) == 60  # strict: all valid
 
 
 def test_parse_missing_model_path_is_data_error(capsys, tmp_path, corpus_path):
