@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import multiprocessing
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
-from . import baseline, casestudy, cxntag, evaluation, lint
+from . import casestudy, cxntag, evaluation, lint
 from .conllu import (
     ConlluError,
     Sentence,
@@ -31,7 +29,7 @@ from .conllu import (
     write_conllu,
 )
 from .cxntag import Backend, FormulaicLexicon
-from .evaluation import AlignmentError, ConfusionScope, ErrorScope
+from .evaluation import AlignmentError, ConfusionScope
 
 LEXICON_ENV_VAR = "CAIT_LEXICON"
 
@@ -42,10 +40,12 @@ class _UsageError(Exception):
     pass
 
 
+def _source(path: str):
+    return sys.stdin.buffer if path == "-" else Path(path)
+
+
 def _read_input(path: str, strictness: Strictness) -> Treebank:
-    if path == "-":
-        return read_conllu(sys.stdin.buffer, strictness)
-    return read_conllu(Path(path), strictness)
+    return read_conllu(_source(path), strictness)
 
 
 def _open_out(path: str | None, default=None):
@@ -163,31 +163,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # tag-cxn / case-study
 # ---------------------------------------------------------------------------
 
-def _tag_one(backend_lexicon, sentence: Sentence):
-    backend, lexicon = backend_lexicon
-    try:
-        return cxntag.tag_utterance(sentence, backend, lexicon), None
-    except Exception as exc:  # noqa: BLE001 - reported per sentence
-        return None, (sentence.sent_id, str(exc))
+def _tag_input(args: argparse.Namespace) -> list[cxntag.TagResult]:
+    lexicon = _load_lexicon(args.lexicon)
+    backend = Backend.UD_RULES if args.backend == "ud" else Backend.POS_RULES
+    return cxntag.tag_conllu(_source(args.input), backend, lexicon, args.jobs)
 
 
-def _tag_parallel(tb: Treebank, backend: Backend, lexicon, jobs: int):
-    worker = partial(_tag_one, (backend, lexicon))
-    if jobs <= 1 or len(tb.sentences) < 2:
-        results = [worker(s) for s in tb.sentences]
-    else:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(worker, tb.sentences, chunksize=16)
-    tagged = [t for t, _ in results if t is not None]
-    errors = [e for _, e in results if e is not None]
-    return tagged, errors
+def _write_errors(results: list[cxntag.TagResult]) -> int:
+    errors = [r for r in results if r.error is not None]
+    for r in errors:
+        sys.stderr.write(f"error\t{r.sent_id}\t{r.error}\n")
+    return 1 if errors else 0
 
 
 def cmd_tag_cxn(args: argparse.Namespace) -> int:
-    tb = _read_input(args.input, Strictness.STRICT)
-    lexicon = _load_lexicon(args.lexicon)
-    backend = Backend.UD_RULES if args.backend == "ud" else Backend.POS_RULES
-    tagged, errors = _tag_parallel(tb, backend, lexicon, args.jobs)
+    results = _tag_input(args)
+    tagged = [r.tagged for r in results if r.tagged is not None]
 
     sink, close = _open_out(args.out)
     try:
@@ -202,7 +193,7 @@ def cmd_tag_cxn(args: argparse.Namespace) -> int:
 
     if args.gold:
         gold = cxntag.load_gold_labels(args.gold)
-        speakers = {s.sent_id: s.speaker_role for s in tb.sentences}
+        speakers = {r.sent_id: r.speaker_role for r in results}
         report = cxntag.cxn_accuracy(tagged, gold, speakers)
         # With --out the data stream is a file, so the summary can take
         # stdout; otherwise keep stdout clean for the TSV.
@@ -212,19 +203,16 @@ def cmd_tag_cxn(args: argparse.Namespace) -> int:
             summary.write(f"recall\t{label.value}\t{acc:.2f}\n")
         for role, acc in report.by_speaker.items():
             summary.write(f"speaker\t{role}\t{acc:.2f}\n")
-
-    for sent_id, message in errors:
-        sys.stderr.write(f"error\t{sent_id}\t{message}\n")
-    return 1 if errors else 0
+    return _write_errors(results)
 
 
 def cmd_case_study(args: argparse.Namespace) -> int:
-    tb = _read_input(args.input, Strictness.STRICT)
-    lexicon = _load_lexicon(args.lexicon)
-    backend = Backend.UD_RULES if args.backend == "ud" else Backend.POS_RULES
-    tagged, errors = _tag_parallel(tb, backend, lexicon, args.jobs)
-    by_id = {s.sent_id: s for s in tb.sentences}
-    labeled = [(by_id[t.sent_id], t.label) for t in tagged]
+    results = _tag_input(args)
+    labeled = [
+        (Sentence(r.sent_id, r.speaker_role, r.child_age_months), r.tagged.label)
+        for r in results
+        if r.tagged is not None
+    ]
     binning = casestudy.bin_by_age(labeled, args.width)
     log.info(
         "binned %d utterances into %d cells; %d unbinned",
@@ -240,9 +228,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     finally:
         if close:
             sink.close()
-    for sent_id, message in errors:
-        sys.stderr.write(f"error\t{sent_id}\t{message}\n")
-    return 1 if errors else 0
+    return _write_errors(results)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +311,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import baseline  # loads numpy
+
     tb = _read_input(args.input, Strictness.STRICT)
     if args.kind == "parser":
         model = baseline.train_parser(tb, epochs=args.epochs, seed=args.seed)
@@ -341,6 +329,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
+    from . import baseline  # loads numpy
+
     model = baseline.load_model(args.model)
     if not isinstance(model, baseline.ParserModel):
         raise _UsageError(f"{args.model} is not a parser model")
@@ -369,6 +359,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
+    from . import baseline  # loads numpy
+
     model = baseline.load_model(args.model)
     if not isinstance(model, baseline.TaggerModel):
         raise _UsageError(f"{args.model} is not a tagger model")
@@ -475,11 +467,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, args.log_level.upper()),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # The "cait" logger, not the root one: a host that configured logging
+    # first would make logging.basicConfig a no-op and --log-level void.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved_level = log.level
+    log.setLevel(getattr(logging, args.log_level.upper()))
+    log.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved_level)
+
+
+def _run(args: argparse.Namespace) -> int:
     existence_checked = [
         getattr(args, name, None)
         for name in ("gold", "pred", "input", "baseline", "lexicon", "label_map")

@@ -31,6 +31,10 @@ __all__ = [
     "Sentence",
     "Treebank",
     "read_conllu",
+    "iter_sentences",
+    "parse_blocks",
+    "split_chunks",
+    "check_in_file_order",
     "write_conllu",
     "conllu_string",
     "validate",
@@ -78,6 +82,7 @@ class ConlluFormatError(ConlluError):
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.reason = message
         self.line = line
 
 
@@ -100,7 +105,7 @@ class Diagnostic:
     token_ids: tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """One syntactic word (a regular 10-column token line)."""
 
@@ -226,7 +231,6 @@ DEFAULT_ROLE_MAP: dict[str, SpeakerRole] = {
     "adult": SpeakerRole.CDS,
 }
 
-_COMMENT_KV = re.compile(r"^#\s*([^=]+?)\s*=\s*(.*)$")
 _CHAT_AGE = re.compile(r"^(\d+);(\d+)(?:\.(\d+))?$")
 
 # Mean Gregorian month, used to fold the day part of CHAT ages into months.
@@ -257,11 +261,12 @@ def _extract_metadata(
     age: float | None = None
     diags: list[Diagnostic] = []
     for line in comments:
-        m = _COMMENT_KV.match(line)
-        if not m:
+        # The match of ^#\s*([^=]+?)\s*=\s*(.*)$ for every key named below.
+        key, sep, value = line[1:].partition("=")
+        if not sep:
             continue
-        key = m.group(1).lower()
-        value = m.group(2)
+        key = key.strip().lower()
+        value = value.lstrip()
         if key == "sent_id":
             sent_id = value
         elif key == "text":
@@ -291,11 +296,6 @@ def load_role_map(source: str | Path) -> dict[str, SpeakerRole]:
 # Reading
 # ---------------------------------------------------------------------------
 
-_INT_ID = re.compile(r"^\d+$")
-_MWT_ID = re.compile(r"^(\d+)-(\d+)$")
-_EMPTY_ID = re.compile(r"^(\d+)\.(\d+)$")
-
-
 def _read_text(source) -> str:
     if hasattr(source, "read"):
         data = source.read()
@@ -305,6 +305,14 @@ def _read_text(source) -> str:
     if isinstance(source, bytes):
         return source.decode("utf-8")
     return Path(source).read_text(encoding="utf-8")
+
+
+def _source_text(source: str | Path | bytes | IO) -> str:
+    try:
+        text = _read_text(source)
+    except UnicodeDecodeError as exc:
+        raise ConlluFormatError(f"input is not valid UTF-8: {exc}", 0) from None
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def read_conllu(
@@ -319,75 +327,141 @@ def read_conllu(
     STRICT; under LENIENT they are attached to the sentence as diagnostics
     for a later ``normalize`` pass.
     """
+    return Treebank(list(iter_sentences(source, strictness, role_map)))
+
+
+def iter_sentences(
+    source: str | Path | bytes | IO,
+    strictness: Strictness = Strictness.STRICT,
+    role_map: Mapping[str, SpeakerRole] | None = None,
+) -> Iterator[Sentence]:
+    """Yield the sentences of a CoNLL-U source one by one, in file order.
+
+    Same sentences, diagnostics and errors as ``read_conllu``; an error is
+    raised when the reader reaches it, after the sentences before it have
+    been yielded.
+    """
+    seen_ids: set[str] = set()
+    for sentence, tree_diags in parse_blocks(
+        _source_text(source), strictness, role_map
+    ):
+        sentence.diagnostics += check_in_file_order(
+            sentence.sent_id, tree_diags, seen_ids, strictness
+        )
+        yield sentence
+
+
+def check_in_file_order(
+    sent_id: str,
+    tree_diags: list[Diagnostic],
+    seen_ids: set[str],
+    strictness: Strictness,
+) -> list[Diagnostic]:
+    """Apply the rules that span sentences to the next sentence in file order.
+
+    Returns the ``duplicate-sent-id`` diagnostic when ``sent_id`` was seen
+    before (and records it in ``seen_ids``); under STRICT, raises
+    ``TreeValidationError`` when the sentence has any tree diagnostic.
+    """
+    extra = []
+    if sent_id in seen_ids:
+        extra.append(Diagnostic("duplicate-sent-id", f"duplicate sent_id {sent_id!r}"))
+    seen_ids.add(sent_id)
+    if strictness is Strictness.STRICT and (tree_diags or extra):
+        raise TreeValidationError(sent_id, tree_diags + extra)
+    return extra
+
+
+# The newline that ends a non-blank line, then the blank lines after it.
+_BLOCK_END = re.compile(r"\n(?:\r*\n)+")
+_BLANK_LINES = re.compile(r"(?:\r*\n)*")
+
+
+def split_chunks(
+    source: str | Path | bytes | IO, n: int
+) -> list[tuple[str, int, int]]:
+    """Cut a CoNLL-U source into at most ``n`` contiguous chunks of text.
+
+    Each chunk starts with a non-blank line and, except the last, ends with
+    the blank lines that close its last sentence block. So ``parse_blocks``
+    on a chunk, given its first line number and first sentence index, finds
+    exactly the blocks the whole-text reader finds there. Returns (text,
+    first line, first index) per chunk.
+    """
+    text = _source_text(source)
+    start = _BLANK_LINES.match(text).end()
+    line, index = 1 + text.count("\n", 0, start), 1
+    chunks = []
+    for k in range(1, n):
+        m = _BLOCK_END.search(text, max(start, len(text) * k // n))
+        if m is None:
+            break
+        chunks.append((text[start:m.end()], line, index))
+        line += text.count("\n", start, m.end())
+        index += len(_BLOCK_END.findall(text, start, m.end()))
+        start = m.end()
+    chunks.append((text[start:], line, index))
+    return chunks
+
+
+# A sentence block: a run of lines that hold something besides CRs.
+_BLOCK = re.compile(r"\r*[^\r\n][^\n]*(?:\n\r*[^\r\n][^\n]*)*")
+
+
+def _blocks(text: str, first_line: int) -> Iterator[tuple[int, int, list[str]]]:
+    """Yield (first line, closing line, lines) per sentence block, trailing
+    CRs removed. The closing line is the blank line after the block, or the
+    block's first line when the text ends inside it."""
+    has_cr = "\r" in text
+    line, pos = first_line, 0
+    for m in _BLOCK.finditer(text):
+        line += text.count("\n", pos, m.start())
+        pos = m.end()
+        lines = m.group().split("\n")
+        if has_cr:
+            lines = [raw.rstrip("\r") for raw in lines]
+        end_line = line if pos == len(text) else line + len(lines)
+        yield line, end_line, lines
+        line += len(lines) - 1
+
+
+def parse_blocks(
+    text: str,
+    strictness: Strictness = Strictness.STRICT,
+    role_map: Mapping[str, SpeakerRole] | None = None,
+    first_line: int = 1,
+    first_index: int = 1,
+) -> Iterator[tuple[Sentence, list[Diagnostic]]]:
+    """Parse each sentence block of ``text`` on its own.
+
+    Yields every sentence with its tree diagnostics, which are not raised:
+    that, and ``duplicate-sent-id``, is ``check_in_file_order``'s job.
+    Raises ``ConlluFormatError`` naming the line. A block without a
+    ``sent_id`` is named ``s{k}``, k counting blocks from ``first_index``.
+    """
     strict = strictness is Strictness.STRICT
     roles = DEFAULT_ROLE_MAP if role_map is None else role_map
-    try:
-        text = _read_text(source)
-    except UnicodeDecodeError as exc:
-        raise ConlluFormatError(f"input is not valid UTF-8: {exc}", 0) from None
-    if text.startswith("﻿"):
-        text = text[1:]
+    for index, (line_no, end_line, lines) in enumerate(
+        _blocks(text, first_line), first_index
+    ):
+        yield _parse_block(lines, line_no, end_line, index, strict, roles)
 
-    tb = Treebank()
-    seen_ids: set[str] = set()
 
+def _parse_block(
+    lines: list[str],
+    first_line: int,
+    end_line: int,
+    index: int,
+    strict: bool,
+    roles: Mapping[str, SpeakerRole],
+) -> tuple[Sentence, list[Diagnostic]]:
     comments: list[str] = []
     tokens: list[Token] = []
-    token_lines: list[int] = []
     mwt: list[MWTRange] = []
     empty: list[EmptyNode] = []
     parse_diags: list[Diagnostic] = []
-    block_line = 0
-
-    def flush(at_line: int) -> None:
-        nonlocal comments, tokens, token_lines, mwt, empty, parse_diags
-        if not comments and not tokens:
-            return
-        if not tokens:
-            raise ConlluFormatError("sentence block has no token lines", at_line)
-        seen: dict[int, int] = {}
-        for tid, line_no in zip((t.id for t in tokens), token_lines):
-            if tid in seen:
-                if strict:
-                    raise ConlluFormatError(f"duplicate token id {tid}", line_no)
-                parse_diags.append(
-                    Diagnostic("duplicate-id", f"duplicate token id {tid}", (tid,))
-                )
-            seen.setdefault(tid, line_no)
-        sent_id, stext, role, age, meta_diags = _extract_metadata(comments, roles)
-        if sent_id is None:
-            sent_id = f"s{len(tb.sentences) + 1}"
-        sentence = Sentence(
-            sent_id=sent_id,
-            speaker_role=role,
-            child_age_months=age,
-            text=stext,
-            tokens=tokens,
-            mwt=mwt,
-            empty_nodes=empty,
-            comments=comments,
-        )
-        tree_diags = validate(sentence)
-        if sent_id in seen_ids:
-            tree_diags = tree_diags + [
-                Diagnostic("duplicate-sent-id", f"duplicate sent_id {sent_id!r}")
-            ]
-        seen_ids.add(sent_id)
-        if strict and tree_diags:
-            raise TreeValidationError(sent_id, tree_diags)
-        sentence.diagnostics = parse_diags + meta_diags + tree_diags
-        tb.sentences.append(sentence)
-        comments, tokens, token_lines = [], [], []
-        mwt, empty, parse_diags = [], [], []
-
-    for line_no, raw in enumerate(text.split("\n"), 1):
-        line = raw.rstrip("\r")
-        if line == "":
-            flush(line_no)
-            continue
-        if line.startswith("#"):
-            if not tokens and not comments:
-                block_line = line_no
+    for line_no, line in enumerate(lines, first_line):
+        if line[0] == "#":
             comments.append(line)
             continue
         fields = line.split("\t")
@@ -395,46 +469,65 @@ def read_conllu(
             raise ConlluFormatError(
                 f"expected 10 tab-separated fields, got {len(fields)}", line_no
             )
-        if not tokens and not comments:
-            block_line = line_no
+        # str.isdecimal is the regex \d+ exactly: Unicode category Nd.
         idf = fields[0]
-        if _INT_ID.match(idf):
-            if not _INT_ID.match(fields[6]) and fields[6] != "_":
-                raise ConlluFormatError(f"non-integer head {fields[6]!r}", line_no)
+        if idf.isdecimal():
+            head = fields[6]
+            if head.isdecimal():
+                head = int(head)
+            elif head == "_":
+                head = 0
+            else:
+                raise ConlluFormatError(f"non-integer head {head!r}", line_no)
+            feats = fields[5]
             try:
-                feats = parse_feats(fields[5])
+                feats = {} if feats == "_" else parse_feats(feats)
             except ValueError as exc:
                 if strict:
                     raise ConlluFormatError(str(exc), line_no) from None
                 parse_diags.append(Diagnostic("bad-feats", f"{exc} (kept first value)"))
-                feats = _salvage_feats(fields[5])
-            head = 0 if fields[6] == "_" else int(fields[6])
+                feats = _salvage_feats(feats)
             tokens.append(
-                Token(
-                    id=int(idf),
-                    form=fields[1],
-                    lemma=fields[2],
-                    upos=fields[3],
-                    xpos=fields[4],
-                    feats=feats,
-                    head=head,
-                    deprel=fields[7],
-                    deps=fields[8],
-                    misc=fields[9],
-                )
+                Token(int(idf), fields[1], fields[2], fields[3], fields[4], feats,
+                      head, fields[7], fields[8], fields[9])
             )
-            token_lines.append(line_no)
-        elif m := _MWT_ID.match(idf):
-            mwt.append(
-                MWTRange(int(m.group(1)), int(m.group(2)), fields[1], fields[9])
-            )
-        elif m := _EMPTY_ID.match(idf):
-            empty.append(EmptyNode(int(m.group(1)), int(m.group(2)), tuple(fields)))
-        else:
-            raise ConlluFormatError(f"non-integer id {idf!r}", line_no)
+            continue
+        start, sep, end = idf.partition("-")
+        if sep and start.isdecimal() and end.isdecimal():
+            mwt.append(MWTRange(int(start), int(end), fields[1], fields[9]))
+            continue
+        anchor, sep, sub = idf.partition(".")
+        if sep and anchor.isdecimal() and sub.isdecimal():
+            empty.append(EmptyNode(int(anchor), int(sub), tuple(fields)))
+            continue
+        raise ConlluFormatError(f"non-integer id {idf!r}", line_no)
 
-    flush(block_line or 1)
-    return tb
+    if not tokens:
+        raise ConlluFormatError("sentence block has no token lines", end_line)
+    sent_id, stext, role, age, meta_diags = _extract_metadata(comments, roles)
+    sentence = Sentence(
+        f"s{index}" if sent_id is None else sent_id,
+        role, age, stext, tokens, mwt, empty, comments,
+    )
+    tree_diags = validate(sentence)
+    # A valid tree has ids 1..n, hence none twice.
+    if tree_diags and any(tok.id != i for i, tok in enumerate(tokens, 1)):
+        token_lines = [
+            line_no
+            for line_no, line in enumerate(lines, first_line)
+            if line[0] != "#" and line.partition("\t")[0].isdecimal()
+        ]
+        seen: set[int] = set()
+        for tok, line_no in zip(tokens, token_lines):
+            if tok.id in seen:
+                if strict:
+                    raise ConlluFormatError(f"duplicate token id {tok.id}", line_no)
+                parse_diags.append(
+                    Diagnostic("duplicate-id", f"duplicate token id {tok.id}", (tok.id,))
+                )
+            seen.add(tok.id)
+    sentence.diagnostics = parse_diags + meta_diags + tree_diags
+    return sentence, tree_diags
 
 
 def _salvage_feats(text: str) -> dict[str, str]:
@@ -540,8 +633,10 @@ def validate(sentence: Sentence) -> list[Diagnostic]:
     Total function: never raises, reports all violations it can name.
     Cycles are found by walking from every token toward head 0.
     """
-    diags: list[Diagnostic] = []
     toks = sentence.tokens
+    if not sentence.mwt and _is_plain_tree(toks):
+        return []
+    diags: list[Diagnostic] = []
     n = len(toks)
     ids = [t.id for t in toks]
     ids_ok = ids == list(range(1, n + 1))
@@ -623,33 +718,62 @@ def validate(sentence: Sentence) -> list[Diagnostic]:
     return diags
 
 
+def _is_plain_tree(toks: list[Token]) -> bool:
+    """One linear pass that accepts exactly the valid trees without
+    multiword ranges: ids 1..n, one root labelled root, every other head
+    in 1..n and not the token itself, and no cycle."""
+    n = len(toks)
+    heads = [0] * (n + 1)
+    root = 0
+    for i, tok in enumerate(toks, 1):
+        head = tok.head
+        if tok.id != i or head < 0 or head > n or head == i:
+            return False
+        if head:
+            if tok.deprel == "root":
+                return False
+            heads[i] = head
+        elif root or tok.deprel != "root":
+            return False
+        else:
+            root = i
+    if not root:
+        return False
+    # The walk that first reached each token. Every earlier walk ended at
+    # the root, so meeting its marks ends this one too; meeting this
+    # walk's own mark is a cycle.
+    walk = [-1] + [0] * n
+    for start in range(1, n + 1):
+        cur = start
+        while not walk[cur]:
+            walk[cur] = start
+            cur = heads[cur]
+        if walk[cur] == start:
+            return False
+    return True
+
+
 def _find_cycles(toks: list[Token]) -> list[frozenset[int]]:
+    """Cycles in walk order, each once: every token is walked toward head 0
+    until the walk meets a finished token, its own path or a dangling head."""
     head_of = {t.id: t.head for t in toks}
-    reaches_end: set[int] = {0}
-    on_cycle: set[int] = set()
+    done = -1
+    state = {0: done}  # token id -> done, or its position on the current walk
     cycles: list[frozenset[int]] = []
     for tok in toks:
         path: list[int] = []
-        index: dict[int, int] = {}
         cur = tok.id
-        while True:
-            if cur in reaches_end or cur in on_cycle:
-                reaches_end.update(path)
-                break
-            if cur in index:
-                members = path[index[cur]:]
-                cycles.append(frozenset(members))
-                on_cycle.update(members)
-                reaches_end.update(path[: index[cur]])
-                break
-            index[cur] = len(path)
+        while cur not in state:
+            state[cur] = len(path)
             path.append(cur)
-            nxt = head_of.get(cur)
-            if nxt is None or (nxt != 0 and nxt not in head_of):
-                # dangling head: chain ends, no cycle
-                reaches_end.update(path)
-                break
-            cur = nxt
+            cur = head_of[cur]
+            if cur not in head_of and cur != 0:
+                break  # dangling head: chain ends, no cycle
+        else:
+            if state[cur] != done:
+                cycles.append(frozenset(path[state[cur]:]))
+        for node in path:
+            state[node] = done
     return cycles
 
 

@@ -15,17 +15,32 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
+from .conllu import (
+    ConlluFormatError,
+    Diagnostic,
+    Sentence,
+    SpeakerRole,
+    Strictness,
+    Token,
+    Treebank,
+    check_in_file_order,
+    detokenize,
+    parse_blocks,
+    read_conllu,
+    split_chunks,
+)
 
-from .conllu import Diagnostic, Sentence, SpeakerRole, Token, Treebank, detokenize
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CxnLabel",
     "Backend",
     "FormulaicLexicon",
     "TaggedUtterance",
+    "TagResult",
     "MissingAnnotationError",
     "CxnEvalReport",
     "CXN_LABEL_ORDER",
@@ -34,6 +49,7 @@ __all__ = [
     "tag_ud",
     "tag_pos",
     "tag_treebank",
+    "tag_conllu",
     "ud_rule_trace",
     "pos_rule_trace",
     "cxn_accuracy",
@@ -213,7 +229,7 @@ def _structural_tag_span(sentence: Sentence) -> set[int] | None:
             continue
         sub = _subtree_ids(sentence, head.id)
         non_punct = [i for i in sub if by_id[i].upos != "PUNCT"]
-        if max(non_punct) != last_content:
+        if not non_punct or max(non_punct) != last_content:
             continue
         pron = neg = 0
         ok = True
@@ -262,7 +278,6 @@ def _surface_tag_span(sentence: Sentence) -> set[int] | None:
             # demand explicit loose attachment or a comma boundary.
             by_id = {t.id: t for t in toks}
             prev = by_id.get(positions[0] - 1)
-            top = tail[0]
             loose = any(
                 t.deprel_base in ("parataxis", "discourse") for t in tail
             )
@@ -818,6 +833,15 @@ def tag_utterance(
     return tagged
 
 
+def _tag_or_error(
+    sentence: Sentence, backend: Backend, lexicon: FormulaicLexicon
+) -> tuple[TaggedUtterance | None, Exception | None]:
+    try:
+        return tag_utterance(sentence, backend, lexicon), None
+    except Exception as exc:  # noqa: BLE001 - reported per sentence
+        return None, exc
+
+
 def tag_treebank(
     tb: Treebank,
     backend: Backend = Backend.UD_RULES,
@@ -828,11 +852,133 @@ def tag_treebank(
     tagged: list[TaggedUtterance] = []
     errors: list[tuple[str, Exception]] = []
     for sentence in tb.sentences:
-        try:
-            tagged.append(tag_utterance(sentence, backend, lexicon))
-        except Exception as exc:  # noqa: BLE001 - collected per sentence
-            errors.append((sentence.sent_id, exc))
+        item, error = _tag_or_error(sentence, backend, lexicon)
+        if error is None:
+            tagged.append(item)
+        else:
+            errors.append((sentence.sent_id, error))
     return tagged, errors
+
+
+class TagResult(NamedTuple):
+    """One sentence's outcome: its tag, or the message of the error that
+    tagging it raised."""
+
+    sent_id: str
+    speaker_role: SpeakerRole
+    child_age_months: float | None
+    tagged: TaggedUtterance | None
+    error: str | None
+
+
+def _tag_result(
+    sentence: Sentence, backend: Backend, lexicon: FormulaicLexicon
+) -> TagResult:
+    tagged, error = _tag_or_error(sentence, backend, lexicon)
+    return TagResult(
+        sentence.sent_id,
+        sentence.speaker_role,
+        sentence.child_age_months,
+        tagged,
+        None if error is None else str(error),
+    )
+
+
+# More chunks than workers, so that a worker that finishes early takes more.
+_CHUNKS_PER_JOB = 8
+
+
+def tag_conllu(
+    source: str | Path | bytes | IO,
+    backend: Backend = Backend.UD_RULES,
+    lexicon: FormulaicLexicon | None = None,
+    jobs: int = 1,
+) -> list[TagResult]:
+    """Read CoNLL-U strictly and tag every sentence; results in file order.
+
+    Read errors are raised exactly as ``read_conllu`` raises them, and
+    before anything is returned. With ``jobs`` > 1, worker processes parse
+    and tag contiguous chunks of the raw text; the results, and the read
+    error raised, do not depend on ``jobs``.
+    """
+    lexicon = lexicon or FormulaicLexicon.default()
+    if jobs <= 1:
+        tb = read_conllu(source, Strictness.STRICT)
+        return [_tag_result(s, backend, lexicon) for s in tb.sentences]
+    tasks = [
+        (text, first_line, first_index, backend, lexicon)
+        for text, first_line, first_index in split_chunks(
+            source, jobs * _CHUNKS_PER_JOB
+        )
+    ]
+    if len(tasks) == 1:
+        return _in_file_order(map(_tag_chunk, tasks), backend)
+    with _pool(min(jobs, len(tasks))) as pool:
+        return _in_file_order(pool.imap(_tag_chunk, tasks), backend)
+
+
+def _in_file_order(parts: Iterable[tuple], backend: Backend) -> list[TagResult]:
+    """Rebuild the workers' results in file order, raising the first read
+    error exactly where the whole-file reader would."""
+    labels = {label.value: label for label in CxnLabel}
+    roles = {role.value: role for role in SpeakerRole}
+    results: list[TagResult] = []
+    seen_ids: set[str] = set()
+    for records, format_error in parts:
+        for sent_id, tree_diags, role, age, label, rule, stripped, error in records:
+            check_in_file_order(sent_id, tree_diags, seen_ids, Strictness.STRICT)
+            tagged = None
+            if label is not None:
+                tagged = TaggedUtterance(sent_id, labels[label], backend, rule, stripped)
+            results.append(TagResult(sent_id, roles[role], age, tagged, error))
+        if format_error is not None:
+            raise ConlluFormatError(*format_error)
+    return results
+
+
+def _pool(processes: int):
+    import multiprocessing
+
+    # fork starts workers about twice as fast as spawn. It is safe here: the
+    # command line starts no threads, and every task carries its own state.
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if fork else None).Pool(processes)
+
+
+def _tag_chunk(
+    task: tuple[str, int, int, Backend, FormulaicLexicon],
+) -> tuple[list[tuple], tuple[str, int] | None]:
+    """Worker: parse and tag one chunk of ``split_chunks``, given with its
+    first line number and sentence index, the backend and the lexicon.
+
+    Returns one plain tuple per sentence and the (reason, line) of a format
+    error, as data, because ``ConlluFormatError`` does not survive
+    pickling. Stops at the first sentence a strict read rejects on its own.
+    """
+    text, first_line, first_index, backend, lexicon = task
+    records = []
+    try:
+        for sentence, tree_diags in parse_blocks(
+            text, Strictness.STRICT, None, first_line, first_index
+        ):
+            if tree_diags:  # the parent raises this in file order
+                records.append((sentence.sent_id, tree_diags) + (None,) * 6)
+                break
+            result = _tag_result(sentence, backend, lexicon)
+            tagged = result.tagged
+            records.append((
+                result.sent_id,
+                tree_diags,
+                result.speaker_role.value,
+                result.child_age_months,
+                None if tagged is None else tagged.label.value,
+                None if tagged is None else tagged.fired_rule,
+                None if tagged is None else tagged.stripped_tag_question,
+                result.error,
+            ))
+    except ConlluFormatError as exc:
+        return records, (exc.reason, exc.line)
+    return records, None
 
 
 @dataclass
@@ -863,6 +1009,8 @@ def cxn_accuracy(
 ) -> CxnEvalReport:
     """Overall accuracy, per-gold-category recall, 10x10 confusion matrix,
     and (when speaker roles are supplied) CS/CDS split accuracies."""
+    import numpy as np
+
     if not pred:
         raise ValueError("no predictions to score")
     index = {label: i for i, label in enumerate(CXN_LABEL_ORDER)}

@@ -13,11 +13,12 @@ import math
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, NamedTuple, Sequence
 
 from .conllu import Sentence, SpeakerRole, Token, Treebank
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AlignmentError",
@@ -392,6 +393,8 @@ class ConfusionMatrix:
     normalization: Normalization = Normalization.RAW
 
     def row_normalized(self) -> "ConfusionMatrix":
+        import numpy as np
+
         counts = self.counts.astype(float)
         sums = counts.sum(axis=1, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -409,6 +412,8 @@ def confusion(
     gold: Treebank, pred: Treebank, scope: ConfusionScope = ConfusionScope.LABEL_ONLY
 ) -> ConfusionMatrix:
     """Gold-by-predicted deprel counts over aligned tokens."""
+    import numpy as np
+
     pair_counts: dict[tuple[str, str], int] = {}
     labels: set[str] = set()
     for gsent, psent in _pair_sentences(gold, pred):
@@ -430,6 +435,8 @@ def confusion(
 def confusion_delta(a: ConfusionMatrix, b: ConfusionMatrix) -> DeltaMatrix:
     """Elementwise a - b over the union label set (missing labels are
     zero-padded); positive cells mean ``a`` errs more."""
+    import numpy as np
+
     if a.normalization is not Normalization.ROW_NORMALIZED:
         raise ValueError("matrix a must be row-normalized")
     if b.normalization is not Normalization.ROW_NORMALIZED:
@@ -452,6 +459,8 @@ def write_matrix_tsv(
     labels: Sequence[str], values: np.ndarray, sink: IO, digits: int = 4
 ) -> None:
     """TSV with a header row/column of labels; cells with fixed decimals."""
+    import numpy as np
+
     sink.write("\t" + "\t".join(labels) + "\n")
     for i, label in enumerate(labels):
         row = values[i]

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import random
 import subprocess
@@ -462,3 +463,48 @@ def test_parse_rejects_tagger_model(capsys, tmp_path):
     )
     assert code == 2
     assert "not a parser model" in err
+
+
+def test_commands_without_numeric_work_do_not_import_numpy(tmp_path, fixture_conllu):
+    # numpy costs about half of the start-up time; only eval, tag-cxn
+    # --gold and the baseline commands use it.
+    out = tmp_path / "out"
+    script = (
+        "import sys\n"
+        "import cait.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "for argv in sys.argv[1:]:\n"
+        "    cait.cli.main(argv.split('|'))\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    commands = [
+        f"validate|--input|{fixture_conllu}",
+        f"lint|--input|{fixture_conllu}|--fix|{out}",
+        f"normalize|--input|{fixture_conllu}|--out|{out}",
+        f"case-study|--input|{fixture_conllu}|--jobs|1|--out|{out}",
+        f"tag-cxn|--input|{fixture_conllu}|--jobs|2|--out|{out}",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cait.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *commands],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_log_level_holds_when_the_host_configured_logging(capsys, fixture_conllu):
+    root = logging.getLogger()
+    host_handler = logging.NullHandler()
+    root.addHandler(host_handler)
+    try:
+        errs = [
+            run(capsys, "--log-level", "info", "case-study", "--input",
+                str(fixture_conllu), "--jobs", "1")[2]
+            for _ in range(2)
+        ]
+    finally:
+        root.removeHandler(host_handler)
+    # One line per call: handlers do not pile up across in-process calls.
+    assert [err.count("INFO cait: binned") for err in errs] == [1, 1]
+    assert logging.getLogger("cait").handlers == []
+    assert logging.getLogger("cait").level == logging.NOTSET

@@ -367,3 +367,20 @@ def test_cxn_accuracy_unknown_sent_id():
         cxn_accuracy(
             [TaggedUtterance("ghost", CxnLabel.SPI, Backend.UD_RULES, 11)], {}
         )
+
+
+def test_punct_parataxis_with_aux_lemma_is_not_a_tag_question():
+    # A PUNCT parataxis dependent with an auxiliary lemma has no content
+    # token in its subtree; the structural detector used to take max() of
+    # an empty list.
+    sentence = build_sentence(
+        "punct-parataxis",
+        [
+            ("I", "I", "PRON", 2, "nsubj"),
+            ("go", "go", "VERB", 0, "root"),
+            ("x", "x", "NOUN", 2, "obj"),
+            ("is", "be", "PUNCT", 2, "parataxis"),
+        ],
+    )
+    assert strip_tag_question(sentence) is sentence
+    assert tag_utterance(sentence).label is CxnLabel.COM  # parataxis: rule 5
