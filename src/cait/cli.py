@@ -469,16 +469,20 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     # The "cait" logger, not the root one: a host that configured logging
     # first would make logging.basicConfig a no-op and --log-level void.
+    # Records stop here, so a host handler on the root does not print them
+    # a second time.
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    saved_level = log.level
+    saved_level, saved_propagate = log.level, log.propagate
     log.setLevel(getattr(logging, args.log_level.upper()))
+    log.propagate = False
     log.addHandler(handler)
     try:
         return _run(args)
     finally:
         log.removeHandler(handler)
         log.setLevel(saved_level)
+        log.propagate = saved_propagate
 
 
 def _run(args: argparse.Namespace) -> int:

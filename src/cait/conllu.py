@@ -633,42 +633,44 @@ def validate(sentence: Sentence) -> list[Diagnostic]:
     Total function: never raises, reports all violations it can name.
     Cycles are found by walking from every token toward head 0.
     """
-    toks = sentence.tokens
-    if not sentence.mwt and _is_plain_tree(toks):
-        return []
     diags: list[Diagnostic] = []
+    toks = sentence.tokens
     n = len(toks)
-    ids = [t.id for t in toks]
-    ids_ok = ids == list(range(1, n + 1))
-    if not ids_ok:
+    ids_ok = [t.id for t in toks] == list(range(1, n + 1))
+    if ids_ok:
+        id_set = range(1, n + 1)
+    else:
         diags.append(
             Diagnostic("token-ids", f"token ids are not exactly 1..{n} in order")
         )
+        id_set = {t.id for t in toks}
 
-    id_set = set(ids)
+    roots: list[int] = []
     for tok in toks:
-        if tok.head == tok.id:
+        head = tok.head
+        if head == tok.id:
             diags.append(
                 Diagnostic("self-loop", f"self-loop at token {tok.id}", (tok.id,))
             )
-        elif tok.head != 0 and tok.head not in id_set:
+        elif head and head not in id_set:
             diags.append(
                 Diagnostic(
                     "head-range",
-                    f"token {tok.id} head {tok.head} is out of range",
+                    f"token {tok.id} head {head} is out of range",
                     (tok.id,),
                 )
             )
-        if (tok.head == 0) != (tok.deprel == "root"):
+        if head == 0:
+            roots.append(tok.id)
+        if (head == 0) != (tok.deprel == "root"):
             diags.append(
                 Diagnostic(
                     "root-deprel",
-                    f"token {tok.id}: head {tok.head} with deprel {tok.deprel!r}",
+                    f"token {tok.id}: head {head} with deprel {tok.deprel!r}",
                     (tok.id,),
                 )
             )
 
-    roots = [t.id for t in toks if t.head == 0]
     if n and not roots:
         diags.append(Diagnostic("no-root", "no root token"))
     elif len(roots) > 1:
@@ -718,62 +720,27 @@ def validate(sentence: Sentence) -> list[Diagnostic]:
     return diags
 
 
-def _is_plain_tree(toks: list[Token]) -> bool:
-    """One linear pass that accepts exactly the valid trees without
-    multiword ranges: ids 1..n, one root labelled root, every other head
-    in 1..n and not the token itself, and no cycle."""
+def _find_cycles(toks: list[Token]) -> list[frozenset[int]]:
+    """Cycles among tokens with ids 1..n, in walk order, each once: every
+    token is walked toward head 0 until the walk meets a token that an
+    earlier walk reached, its own path, or a head outside 1..n."""
     n = len(toks)
-    heads = [0] * (n + 1)
-    root = 0
-    for i, tok in enumerate(toks, 1):
-        head = tok.head
-        if tok.id != i or head < 0 or head > n or head == i:
-            return False
-        if head:
-            if tok.deprel == "root":
-                return False
-            heads[i] = head
-        elif root or tok.deprel != "root":
-            return False
-        else:
-            root = i
-    if not root:
-        return False
-    # The walk that first reached each token. Every earlier walk ended at
-    # the root, so meeting its marks ends this one too; meeting this
-    # walk's own mark is a cycle.
-    walk = [-1] + [0] * n
+    heads = [0] + [t.head if 0 <= t.head <= n else 0 for t in toks]
+    walk = [0] * (n + 1)  # the walk that first reached each token
+    walk[0] = -1
+    cycles: list[frozenset[int]] = []
     for start in range(1, n + 1):
         cur = start
         while not walk[cur]:
             walk[cur] = start
             cur = heads[cur]
         if walk[cur] == start:
-            return False
-    return True
-
-
-def _find_cycles(toks: list[Token]) -> list[frozenset[int]]:
-    """Cycles in walk order, each once: every token is walked toward head 0
-    until the walk meets a finished token, its own path or a dangling head."""
-    head_of = {t.id: t.head for t in toks}
-    done = -1
-    state = {0: done}  # token id -> done, or its position on the current walk
-    cycles: list[frozenset[int]] = []
-    for tok in toks:
-        path: list[int] = []
-        cur = tok.id
-        while cur not in state:
-            state[cur] = len(path)
-            path.append(cur)
-            cur = head_of[cur]
-            if cur not in head_of and cur != 0:
-                break  # dangling head: chain ends, no cycle
-        else:
-            if state[cur] != done:
-                cycles.append(frozenset(path[state[cur]:]))
-        for node in path:
-            state[node] = done
+            members = [cur]
+            nxt = heads[cur]
+            while nxt != cur:
+                members.append(nxt)
+                nxt = heads[nxt]
+            cycles.append(frozenset(members))
     return cycles
 
 

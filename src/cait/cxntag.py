@@ -28,7 +28,6 @@ from .conllu import (
     check_in_file_order,
     detokenize,
     parse_blocks,
-    read_conllu,
     split_chunks,
 )
 
@@ -902,35 +901,27 @@ def tag_conllu(
     error raised, do not depend on ``jobs``.
     """
     lexicon = lexicon or FormulaicLexicon.default()
-    if jobs <= 1:
-        tb = read_conllu(source, Strictness.STRICT)
-        return [_tag_result(s, backend, lexicon) for s in tb.sentences]
     tasks = [
         (text, first_line, first_index, backend, lexicon)
         for text, first_line, first_index in split_chunks(
-            source, jobs * _CHUNKS_PER_JOB
+            source, 1 if jobs <= 1 else jobs * _CHUNKS_PER_JOB
         )
     ]
     if len(tasks) == 1:
-        return _in_file_order(map(_tag_chunk, tasks), backend)
+        return _in_file_order(map(_tag_chunk, tasks))
     with _pool(min(jobs, len(tasks))) as pool:
-        return _in_file_order(pool.imap(_tag_chunk, tasks), backend)
+        return _in_file_order(pool.imap(_tag_chunk, tasks))
 
 
-def _in_file_order(parts: Iterable[tuple], backend: Backend) -> list[TagResult]:
-    """Rebuild the workers' results in file order, raising the first read
+def _in_file_order(parts: Iterable[tuple]) -> list[TagResult]:
+    """Collect the chunks' results in file order, raising the first read
     error exactly where the whole-file reader would."""
-    labels = {label.value: label for label in CxnLabel}
-    roles = {role.value: role for role in SpeakerRole}
     results: list[TagResult] = []
     seen_ids: set[str] = set()
     for records, format_error in parts:
-        for sent_id, tree_diags, role, age, label, rule, stripped, error in records:
-            check_in_file_order(sent_id, tree_diags, seen_ids, Strictness.STRICT)
-            tagged = None
-            if label is not None:
-                tagged = TaggedUtterance(sent_id, labels[label], backend, rule, stripped)
-            results.append(TagResult(sent_id, roles[role], age, tagged, error))
+        for tree_diags, result in records:
+            check_in_file_order(result.sent_id, tree_diags, seen_ids, Strictness.STRICT)
+            results.append(result)
         if format_error is not None:
             raise ConlluFormatError(*format_error)
     return results
@@ -947,13 +938,14 @@ def _pool(processes: int):
 
 def _tag_chunk(
     task: tuple[str, int, int, Backend, FormulaicLexicon],
-) -> tuple[list[tuple], tuple[str, int] | None]:
-    """Worker: parse and tag one chunk of ``split_chunks``, given with its
-    first line number and sentence index, the backend and the lexicon.
+) -> tuple[list[tuple[list[Diagnostic], TagResult]], tuple[str, int] | None]:
+    """Parse and tag one chunk of ``split_chunks``, given with its first
+    line number and sentence index, the backend and the lexicon.
 
-    Returns one plain tuple per sentence and the (reason, line) of a format
-    error, as data, because ``ConlluFormatError`` does not survive
-    pickling. Stops at the first sentence a strict read rejects on its own.
+    Returns each sentence's tree diagnostics and result, and the (reason,
+    line) of a format error, as data, because ``ConlluFormatError`` does not
+    survive pickling. Stops at the first sentence a strict read rejects on
+    its own; that sentence is not tagged.
     """
     text, first_line, first_index, backend, lexicon = task
     records = []
@@ -961,21 +953,13 @@ def _tag_chunk(
         for sentence, tree_diags in parse_blocks(
             text, Strictness.STRICT, None, first_line, first_index
         ):
-            if tree_diags:  # the parent raises this in file order
-                records.append((sentence.sent_id, tree_diags) + (None,) * 6)
+            if tree_diags:  # raised by _in_file_order, in file order
+                records.append((tree_diags, TagResult(
+                    sentence.sent_id, sentence.speaker_role,
+                    sentence.child_age_months, None, None,
+                )))
                 break
-            result = _tag_result(sentence, backend, lexicon)
-            tagged = result.tagged
-            records.append((
-                result.sent_id,
-                tree_diags,
-                result.speaker_role.value,
-                result.child_age_months,
-                None if tagged is None else tagged.label.value,
-                None if tagged is None else tagged.fired_rule,
-                None if tagged is None else tagged.stripped_tag_question,
-                result.error,
-            ))
+            records.append((tree_diags, _tag_result(sentence, backend, lexicon)))
     except ConlluFormatError as exc:
         return records, (exc.reason, exc.line)
     return records, None

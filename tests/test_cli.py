@@ -492,10 +492,20 @@ def test_commands_without_numeric_work_do_not_import_numpy(tmp_path, fixture_con
     assert result.returncode == 0, result.stderr
 
 
-def test_log_level_holds_when_the_host_configured_logging(capsys, fixture_conllu):
+@pytest.mark.parametrize("host_handler", ["null", "stream"])
+def test_log_level_holds_when_the_host_configured_logging(
+    capsys, fixture_conllu, host_handler
+):
     root = logging.getLogger()
-    host_handler = logging.NullHandler()
-    root.addHandler(host_handler)
+    # A stream handler on the root, as logging.basicConfig leaves it, writes
+    # to the same stderr: a record that reached it too would show twice.
+    handler = (
+        logging.NullHandler() if host_handler == "null"
+        else logging.StreamHandler(sys.stderr)
+    )
+    saved_level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
     try:
         errs = [
             run(capsys, "--log-level", "info", "case-study", "--input",
@@ -503,8 +513,13 @@ def test_log_level_holds_when_the_host_configured_logging(capsys, fixture_conllu
             for _ in range(2)
         ]
     finally:
-        root.removeHandler(host_handler)
-    # One line per call: handlers do not pile up across in-process calls.
+        root.removeHandler(handler)
+        root.setLevel(saved_level)
+    # One line per call: handlers do not pile up across in-process calls,
+    # and the host's handler does not repeat the line.
     assert [err.count("INFO cait: binned") for err in errs] == [1, 1]
-    assert logging.getLogger("cait").handlers == []
-    assert logging.getLogger("cait").level == logging.NOTSET
+    assert [err.count(" utterances into ") for err in errs] == [1, 1]
+    cait_log = logging.getLogger("cait")
+    assert cait_log.handlers == []
+    assert cait_log.level == logging.NOTSET
+    assert cait_log.propagate

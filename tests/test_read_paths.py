@@ -1,8 +1,9 @@
 """Property tests for the two read paths.
 
 The block reader must give what the frozen line-by-line reader
-(``reference_conllu``) gives, and ``tag-cxn``/``case-study`` must not
-depend on ``--jobs``, whose workers parse chunks of the raw text.
+(``reference_conllu``) gives; ``cxntag.tag_conllu``, which parses chunks
+of the raw text, must give what reading the whole file and tagging it
+gives; and ``tag-cxn``/``case-study`` must not depend on ``--jobs``.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import reference_conllu
 import synth
 from cait.cli import main
 from cait.conllu import ConlluError, Strictness, Treebank, conllu_string, read_conllu
+from cait.cxntag import Backend, FormulaicLexicon, TagResult, tag_conllu, tag_utterance
 
 _KINDS = ("valid", "valid", "valid", "childes", "malformed", "fuzz")
 
@@ -133,6 +135,36 @@ def test_block_reader_matches_reference_reader(data):
         assert _outcome(read_conllu, data, strictness) == _outcome(
             reference_conllu.read_conllu, data, strictness
         )
+
+
+def _read_then_tag(data: bytes, backend: Backend, lexicon: FormulaicLexicon):
+    """The whole-file way: a strict read, then each sentence tagged."""
+    try:
+        tb = read_conllu(data, Strictness.STRICT)
+    except ConlluError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    results = []
+    for s in tb.sentences:
+        try:
+            tagged, error = tag_utterance(s, backend, lexicon), None
+        except Exception as exc:  # noqa: BLE001 - recorded, as tag-cxn does
+            tagged, error = None, str(exc)
+        results.append(
+            TagResult(s.sent_id, s.speaker_role, s.child_age_months, tagged, error)
+        )
+    return results
+
+
+@settings(max_examples=25)
+@given(conllu_texts(), st.sampled_from(Backend))
+def test_chunked_tagging_matches_read_then_tag(data, backend):
+    # In process, one chunk; the test below holds --jobs 3 to --jobs 1.
+    lexicon = FormulaicLexicon.default()
+    try:
+        got = tag_conllu(data, backend, lexicon, jobs=1)
+    except ConlluError as exc:
+        got = type(exc), str(exc), getattr(exc, "line", None)
+    assert got == _read_then_tag(data, backend, lexicon)
 
 
 def _document(*blocks: list[str]) -> bytes:
