@@ -10,26 +10,18 @@ across ``--jobs`` settings.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import casestudy, cxntag, evaluation, lint
-from .conllu import (
-    ConlluError,
-    Sentence,
-    Strictness,
-    Treebank,
-    default_label_map,
-    load_label_map,
-    read_conllu,
-    validate,
-    write_conllu,
-)
-from .cxntag import Backend, FormulaicLexicon
-from .evaluation import AlignmentError, ConfusionScope
+# Each command imports the cait modules it runs, so a process loads only
+# those: `cait --help` and `cait validate` never compile the tagger.
+if TYPE_CHECKING:
+    from .conllu import Strictness, Treebank
+    from .cxntag import FormulaicLexicon, TagResult
 
 LEXICON_ENV_VAR = "CAIT_LEXICON"
 
@@ -45,18 +37,24 @@ def _source(path: str):
 
 
 def _read_input(path: str, strictness: Strictness) -> Treebank:
+    from .conllu import read_conllu
+
     return read_conllu(_source(path), strictness)
 
 
-def _open_out(path: str | None, default=None):
-    if path is None:
-        return default if default is not None else sys.stdout, False
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+@contextmanager
+def _output(path: str | None):
+    """stdout for no path or "-" (left open), else the file, closed after."""
+    if path is None or path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as sink:
+        yield sink
 
 
 def _load_lexicon(flag_value: str | None) -> FormulaicLexicon:
+    from .cxntag import FormulaicLexicon
+
     # Precedence: flag > environment > packaged default.
     path = flag_value or os.environ.get(LEXICON_ENV_VAR)
     if path:
@@ -73,6 +71,11 @@ def _fmt(value: float | None) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    import json
+
+    from . import evaluation
+    from .conllu import Strictness
+
     gold = _read_input(args.gold, Strictness.STRICT)
     pred = _read_input(args.pred, Strictness.STRICT)
     report = evaluation.evaluate_treebanks(gold, pred)
@@ -120,13 +123,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "per_label_error": per_label,
             "ttest": ttest_payload,
         }
-        sink, close = _open_out(args.json)
-        try:
+        with _output(args.json) as sink:
             json.dump(payload, sink, indent=2)
             sink.write("\n")
-        finally:
-            if close:
-                sink.close()
     else:
         out = sys.stdout
         out.write(f"LAS  {_fmt(report.las)}\n")
@@ -145,17 +144,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.tsv:
         scope = (
-            ConfusionScope.LAS_ERRORS
+            evaluation.ConfusionScope.LAS_ERRORS
             if args.confusion == "las"
-            else ConfusionScope.LABEL_ONLY
+            else evaluation.ConfusionScope.LABEL_ONLY
         )
         matrix = evaluation.confusion(gold, pred, scope).row_normalized()
-        sink, close = _open_out(args.tsv)
-        try:
+        with _output(args.tsv) as sink:
             evaluation.write_matrix_tsv(matrix.labels, matrix.counts, sink)
-        finally:
-            if close:
-                sink.close()
     return 0
 
 
@@ -163,13 +158,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # tag-cxn / case-study
 # ---------------------------------------------------------------------------
 
-def _tag_input(args: argparse.Namespace) -> list[cxntag.TagResult]:
+def _tag_input(args: argparse.Namespace) -> list[TagResult]:
+    from .cxntag import Backend, tag_conllu
+
     lexicon = _load_lexicon(args.lexicon)
     backend = Backend.UD_RULES if args.backend == "ud" else Backend.POS_RULES
-    return cxntag.tag_conllu(_source(args.input), backend, lexicon, args.jobs)
+    return tag_conllu(_source(args.input), backend, lexicon, args.jobs)
 
 
-def _write_errors(results: list[cxntag.TagResult]) -> int:
+def _write_errors(results: list[TagResult]) -> int:
     errors = [r for r in results if r.error is not None]
     for r in errors:
         sys.stderr.write(f"error\t{r.sent_id}\t{r.error}\n")
@@ -180,21 +177,19 @@ def cmd_tag_cxn(args: argparse.Namespace) -> int:
     results = _tag_input(args)
     tagged = [r.tagged for r in results if r.tagged is not None]
 
-    sink, close = _open_out(args.out)
-    try:
+    with _output(args.out) as sink:
         for item in tagged:
             sink.write(
                 f"{item.sent_id}\t{item.label.value}\t{item.fired_rule}"
                 f"\t{item.backend.value}\n"
             )
-    finally:
-        if close:
-            sink.close()
 
     if args.gold:
-        gold = cxntag.load_gold_labels(args.gold)
+        from .cxntag import cxn_accuracy, load_gold_labels
+
+        gold = load_gold_labels(args.gold)
         speakers = {r.sent_id: r.speaker_role for r in results}
-        report = cxntag.cxn_accuracy(tagged, gold, speakers)
+        report = cxn_accuracy(tagged, gold, speakers)
         # With --out the data stream is a file, so the summary can take
         # stdout; otherwise keep stdout clean for the TSV.
         summary = sys.stdout if args.out and args.out != "-" else sys.stderr
@@ -207,6 +202,9 @@ def cmd_tag_cxn(args: argparse.Namespace) -> int:
 
 
 def cmd_case_study(args: argparse.Namespace) -> int:
+    from . import casestudy
+    from .conllu import Sentence
+
     results = _tag_input(args)
     labeled = [
         (Sentence(r.sent_id, r.speaker_role, r.child_age_months), r.tagged.label)
@@ -220,14 +218,10 @@ def cmd_case_study(args: argparse.Namespace) -> int:
         len(binning.bins),
         binning.unbinned,
     )
-    sink, close = _open_out(args.out)
-    try:
+    with _output(args.out) as sink:
         casestudy.emit_curves(
             binning.bins, sink, include_nonclausal=args.include_nonclausal
         )
-    finally:
-        if close:
-            sink.close()
     return _write_errors(results)
 
 
@@ -236,11 +230,13 @@ def cmd_case_study(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    from . import lint
+    from .conllu import Strictness, write_conllu
+
     tb = _read_input(args.input, Strictness.STRICT)
     reports = lint.lint_all(tb)
     if args.tsv:
-        sink, close = _open_out(args.tsv)
-        try:
+        with _output(args.tsv) as sink:
             sink.write(
                 "sent_id\ttoken_id\trule\tgold_deprel\tsuggested_deprel\tcontext\n"
             )
@@ -250,9 +246,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
                         f"{f.sent_id}\t{f.token_id}\t{f.rule.value}"
                         f"\t{f.gold_deprel}\t{f.suggested_deprel}\t{f.context}\n"
                     )
-        finally:
-            if close:
-                sink.close()
     else:
         for report in reports:
             sys.stdout.write(
@@ -262,7 +255,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.fix:
         findings = [f for report in reports for f in report.findings]
         fixed = lint.apply_fixes(tb, findings)
-        write_conllu(fixed, args.fix if args.fix != "-" else sys.stdout)
+        with _output(args.fix) as sink:
+            write_conllu(fixed, sink)
     return 0
 
 
@@ -271,6 +265,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .conllu import Strictness, validate
+
     tb = _read_input(args.input, Strictness.LENIENT)
     bad = 0
     for sentence in tb.sentences:
@@ -283,26 +279,29 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
+    from .conllu import (
+        Strictness,
+        Treebank,
+        default_label_map,
+        load_label_map,
+        normalize,
+        write_conllu,
+    )
+
     tb = _read_input(args.input, Strictness.LENIENT)
     label_map = (
         load_label_map(args.label_map) if args.label_map else default_label_map()
     )
-    from .conllu import normalize as normalize_sentence
-
     repaired = Treebank(
-        [normalize_sentence(s, label_map) for s in tb.sentences],
+        [normalize(s, label_map) for s in tb.sentences],
         tb.split,
         tb.provenance,
     )
     for sentence in repaired.sentences:
         for d in sentence.diagnostics:
             sys.stderr.write(f"{sentence.sent_id}\t{d.code}\t{d.message}\n")
-    sink, close = _open_out(args.out)
-    try:
+    with _output(args.out) as sink:
         write_conllu(repaired, sink)
-    finally:
-        if close:
-            sink.close()
     return 0
 
 
@@ -312,6 +311,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     from . import baseline  # loads numpy
+    from .conllu import Strictness
 
     tb = _read_input(args.input, Strictness.STRICT)
     if args.kind == "parser":
@@ -330,6 +330,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     from . import baseline  # loads numpy
+    from .conllu import Strictness, Treebank, write_conllu
 
     model = baseline.load_model(args.model)
     if not isinstance(model, baseline.ParserModel):
@@ -349,17 +350,14 @@ def cmd_parse(args: argparse.Namespace) -> int:
         "%d tokens attached to the root by cleanup",
         len(parsed.sentences), normalized, attached,
     )
-    sink, close = _open_out(args.out)
-    try:
+    with _output(args.out) as sink:
         write_conllu(parsed, sink)
-    finally:
-        if close:
-            sink.close()
     return 0
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
     from . import baseline  # loads numpy
+    from .conllu import Strictness, Treebank, write_conllu
 
     model = baseline.load_model(args.model)
     if not isinstance(model, baseline.TaggerModel):
@@ -368,12 +366,8 @@ def cmd_tag(args: argparse.Namespace) -> int:
     tagged = Treebank(
         [baseline.tag(model, s) for s in tb.sentences], tb.split, tb.provenance
     )
-    sink, close = _open_out(args.out)
-    try:
+    with _output(args.out) as sink:
         write_conllu(tagged, sink)
-    finally:
-        if close:
-            sink.close()
     return 0
 
 
@@ -501,12 +495,26 @@ def _run(args: argparse.Namespace) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ConlluError, AlignmentError, cxntag.MissingAnnotationError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, KeyError, OSError, *_data_errors()) as exc:
+        # str() of a KeyError is the repr of its message.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        sys.stderr.write(f"error: {message}\n")
         return 1
-    except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+
+
+def _data_errors() -> tuple[type[Exception], ...]:
+    """The data-error classes of the cait modules this process has loaded.
+
+    Called only once an exception reaches ``_run``; a module that never
+    loaded cannot have raised, so nothing is imported for it.
+    """
+    homes = (
+        ("conllu", "ConlluError"),
+        ("evaluation", "AlignmentError"),
+        ("cxntag", "MissingAnnotationError"),
+    )
+    loaded = ((sys.modules.get(f"{__package__}.{home}"), cls) for home, cls in homes)
+    return tuple(getattr(module, cls) for module, cls in loaded if module is not None)
 
 
 if __name__ == "__main__":

@@ -977,12 +977,21 @@ class CxnEvalReport:
 def load_gold_labels(source: str | Path) -> dict[str, CxnLabel]:
     """Read a two-column gold TSV: sent_id TAB label."""
     gold: dict[str, CxnLabel] = {}
-    for raw in Path(source).read_text(encoding="utf-8").splitlines():
+    lines = Path(source).read_text(encoding="utf-8").splitlines()
+    for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        sent_id, _, label = line.partition("\t")
-        gold[sent_id] = CxnLabel(label.strip())
+        sent_id, tab, label = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{source}: line {line_no}: no tab in row {line!r}")
+        try:
+            gold[sent_id] = CxnLabel(label.strip())
+        except ValueError:
+            raise ValueError(
+                f"{source}: line {line_no}: {label.strip()!r} is not a "
+                "construction label"
+            ) from None
     return gold
 
 

@@ -176,6 +176,33 @@ def test_tag_cxn_gold_accuracy_report(capsys, tmp_path, fixture_conllu):
     assert len(tags.read_text(encoding="utf-8").strip().split("\n")) == 100
 
 
+def test_tag_cxn_gold_missing_sent_id_prints_the_message(
+    capsys, tmp_path, fixture_conllu
+):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(
+        "".join(f"{sid}\t{label}\n" for sid, label, _ in UTTERANCES[1:]),
+        encoding="utf-8",
+    )
+    code, _, err = run(
+        capsys, "tag-cxn", "--input", str(fixture_conllu), "--gold",
+        str(gold), "--jobs", "1",
+    )
+    assert code == 1
+    assert err == f"error: sent_id {UTTERANCES[0][0]!r} missing from gold labels\n"
+
+
+def test_tag_cxn_gold_bad_row_names_file_and_line(capsys, tmp_path, fixture_conllu):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("# header\nu1\tSPI\n\nu2\tNOPE\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "tag-cxn", "--input", str(fixture_conllu), "--gold",
+        str(gold), "--jobs", "1",
+    )
+    assert code == 1
+    assert err == f"error: {gold}: line 4: 'NOPE' is not a construction label\n"
+
+
 def test_tag_cxn_custom_lexicon_flag_beats_env(
     capsys, tmp_path, fixture_conllu, monkeypatch
 ):
@@ -490,6 +517,124 @@ def test_commands_without_numeric_work_do_not_import_numpy(tmp_path, fixture_con
         env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+# Public name of the package -> the module that defines it.
+PACKAGE_EXPORTS = {
+    **dict.fromkeys(
+        ["Diagnostic", "MWTRange", "Sentence", "SpeakerRole", "Strictness",
+         "Token", "Treebank", "normalize", "read_conllu", "validate",
+         "write_conllu"],
+        "cait.conllu",
+    ),
+    **dict.fromkeys(
+        ["Backend", "CxnLabel", "FormulaicLexicon", "TaggedUtterance",
+         "strip_tag_question", "tag_pos", "tag_treebank", "tag_ud"],
+        "cait.cxntag",
+    ),
+    **dict.fromkeys(
+        ["EvalReport", "aggregate", "align", "confusion", "evaluate_treebanks",
+         "paired_ttest", "per_label_error_rates", "score_sentence",
+         "tag_accuracy"],
+        "cait.evaluation",
+    ),
+}
+
+
+def _loaded_cait_modules(*argv):
+    """Run ``python -m cait.cli ARGV`` in a fresh interpreter; returns its
+    exit code and the ``cait.*`` submodules it loaded."""
+    script = (
+        "import json, runpy, sys\n"
+        "sys.argv[1:] = json.loads(sys.argv.pop(1))\n"
+        "try:\n"
+        "    runpy.run_module('cait.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(\n"
+        "    m for m in sys.modules if m.startswith('cait.'))]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cait.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_import_cait_loads_no_submodule():
+    # The modules that `import cait` used to load stay reachable as
+    # attributes of the package.
+    script = (
+        "import sys, cait\n"
+        "print([m for m in sys.modules if m.startswith('cait.')])\n"
+        "assert cait.evaluation is sys.modules['cait.evaluation']\n"
+        "assert cait.conllu.validate is cait.validate\n"
+        "assert cait.cxntag.tag_ud is cait.tag_ud\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cait.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, fixture_conllu):
+    fixture = str(fixture_conllu)
+    out = str(tmp_path / "out")
+    write_conllu(childes_treebank(20, seed=3), tmp_path / "train.conllu")
+    train = str(tmp_path / "train.conllu")
+    parser_model = str(tmp_path / "parser.model")
+    tagger_model = str(tmp_path / "tagger.model")
+    assert main(["train", "--input", train, "--model", tagger_model,
+                 "--kind", "tagger", "--epochs", "1"]) == 0
+    conllu = {"cait.conllu"}
+    baseline = conllu | {"cait.baseline"}
+    cases = [
+        (["--help"], set()),
+        (["validate", "--input", fixture], conllu),
+        (["normalize", "--input", fixture, "--out", out], conllu),
+        (["lint", "--input", fixture, "--tsv", out], conllu | {"cait.lint"}),
+        (["tag-cxn", "--input", fixture, "--jobs", "1", "--out", out],
+         conllu | {"cait.cxntag"}),
+        (["case-study", "--input", fixture, "--jobs", "1", "--out", out],
+         conllu | {"cait.cxntag", "cait.casestudy"}),
+        (["eval", "--gold", fixture, "--pred", fixture, "--json", out],
+         conllu | {"cait.evaluation"}),
+        (["train", "--input", train, "--model", parser_model, "--epochs", "1"],
+         baseline),
+        (["parse", "--input", train, "--model", parser_model, "--out", out],
+         baseline),
+        (["tag", "--input", train, "--model", tagger_model, "--out", out],
+         baseline),
+    ]
+    for argv, expected in cases:
+        assert _loaded_cait_modules(*argv) == (0, expected), argv
+
+
+def test_package_names_resolve_to_their_defining_objects():
+    import importlib
+
+    assert sorted(cait.__all__) == sorted(PACKAGE_EXPORTS)
+    listed = dir(cait)
+    star: dict = {}
+    exec("from cait import *", star)
+    for name, home in PACKAGE_EXPORTS.items():
+        obj = getattr(importlib.import_module(home), name)
+        assert getattr(cait, name) is obj, name
+        scope: dict = {}
+        exec(f"from cait import {name}", scope)
+        assert scope[name] is obj, name
+        assert star[name] is obj, name
+        assert name in listed, name
+    assert cait.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cait.no_such_name
+    with pytest.raises(ImportError):
+        exec("from cait import no_such_name", {})
 
 
 @pytest.mark.parametrize("host_handler", ["null", "stream"])

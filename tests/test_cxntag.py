@@ -369,6 +369,21 @@ def test_cxn_accuracy_unknown_sent_id():
         )
 
 
+def test_load_gold_labels_names_the_line_of_a_bad_row(tmp_path):
+    from cait.cxntag import load_gold_labels
+
+    path = tmp_path / "gold.tsv"
+    path.write_text("# sent_id label\na\tSPI\n\nb\tNOPE\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_gold_labels(path)
+    assert str(info.value) == f"{path}: line 4: 'NOPE' is not a construction label"
+
+    path.write_text("a\tSPI\nb SPT\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_gold_labels(path)
+    assert str(info.value) == f"{path}: line 2: no tab in row 'b SPT'"
+
+
 def test_punct_parataxis_with_aux_lemma_is_not_a_tag_question():
     # A PUNCT parataxis dependent with an auxiliary lemma has no content
     # token in its subtree; the structural detector used to take max() of
