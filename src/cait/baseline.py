@@ -529,10 +529,7 @@ def parse(model: ParserModel, sentence: Sentence) -> Sentence:
             f"attached {len(attached)} headless token(s) to the root as dep",
             tuple(attached),
         ))
-    tokens = [
-        replace(t, feats=dict(t.feats), head=heads[t.id], deprel=labels[t.id])
-        for t in sentence.tokens
-    ]
+    tokens = [t.copy(head=heads[t.id], deprel=labels[t.id]) for t in sentence.tokens]
     return replace(sentence, tokens=tokens, diagnostics=diagnostics)
 
 
@@ -646,10 +643,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> Sentence:
         tags.append(guess)
         prev2 = prev
         prev = guess
-    tokens = [
-        replace(t, feats=dict(t.feats), upos=tags[i])
-        for i, t in enumerate(sentence.tokens)
-    ]
+    tokens = [t.copy(upos=tag) for t, tag in zip(sentence.tokens, tags)]
     return replace(sentence, tokens=tokens)
 
 

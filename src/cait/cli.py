@@ -512,6 +512,7 @@ def _data_errors() -> tuple[type[Exception], ...]:
         ("conllu", "ConlluError"),
         ("evaluation", "AlignmentError"),
         ("cxntag", "MissingAnnotationError"),
+        ("baseline", "ModelFormatError"),
     )
     loaded = ((sys.modules.get(f"{__package__}.{home}"), cls) for home, cls in homes)
     return tuple(getattr(module, cls) for module, cls in loaded if module is not None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 __all__ = [
     "Strictness",
@@ -126,6 +126,14 @@ class Token:
 
     def effective_lemma(self) -> str:
         return self.lemma.lower() if self.lemma != "_" else self.form.lower()
+
+    def copy(self, **changes) -> Token:
+        """A new token with ``changes`` applied and its own ``feats`` dict."""
+        new = Token(self.id, self.form, self.lemma, self.upos, self.xpos,
+                    dict(self.feats), self.head, self.deprel, self.deps, self.misc)
+        for name, value in changes.items():
+            setattr(new, name, value)
+        return new
 
 
 @dataclass
@@ -280,15 +288,27 @@ def _extract_metadata(
     return sent_id, text, role, age, diags
 
 
+def table_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, stripped line) for every line of a
+    table file that is neither blank nor a ``#`` comment."""
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def load_role_map(source: str | Path) -> dict[str, SpeakerRole]:
     """Load a two-column TSV mapping speaker codes to CS/CDS/OTHER."""
     mapping: dict[str, SpeakerRole] = {}
-    for raw in Path(source).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = Path(source).read_text(encoding="utf-8").splitlines()
+    for line_no, line in table_lines(lines):
         code, _, role = line.partition("\t")
-        mapping[code.strip().lower()] = SpeakerRole(role.strip().upper())
+        try:
+            mapping[code.strip().lower()] = SpeakerRole(role.strip().upper())
+        except ValueError:
+            raise ValueError(
+                f"{source}: line {line_no}: {role.strip()!r} is not a speaker role"
+            ) from None
     return mapping
 
 
@@ -764,7 +784,7 @@ def normalize(
     """
     label_map = label_map or {}
     diags: list[Diagnostic] = []
-    toks = [replace(t, feats=dict(t.feats)) for t in sentence.tokens]
+    toks = [t.copy() for t in sentence.tokens]
     mwt = [replace(r) for r in sentence.mwt]
     empty = [replace(e) for e in sentence.empty_nodes]
 
@@ -953,28 +973,21 @@ def _shallowest_cycle_free(toks: list[Token]) -> Token:
 # Label maps
 # ---------------------------------------------------------------------------
 
-def load_label_map(source: str | Path) -> dict[str, str]:
-    """Load a two-column TSV (source_label TAB ud_label) deprel map."""
+def _parse_label_map(text: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for raw in Path(source).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in table_lines(text.splitlines()):
         src, _, dst = line.partition("\t")
         if dst:
             mapping[src.strip()] = dst.strip()
     return mapping
+
+
+def load_label_map(source: str | Path) -> dict[str, str]:
+    """Load a two-column TSV (source_label TAB ud_label) deprel map."""
+    return _parse_label_map(Path(source).read_text(encoding="utf-8"))
 
 
 def default_label_map() -> dict[str, str]:
     """The packaged ClearNLP-style to UD v2 deprel correspondence."""
-    mapping: dict[str, str] = {}
     data = resources.files("cait").joinpath("data/deprel_map_clearnlp.tsv")
-    for raw in data.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        src, _, dst = line.partition("\t")
-        if dst:
-            mapping[src.strip()] = dst.strip()
-    return mapping
+    return _parse_label_map(data.read_text(encoding="utf-8"))

@@ -29,6 +29,7 @@ from .conllu import (
     detokenize,
     parse_blocks,
     split_chunks,
+    table_lines,
 )
 
 if TYPE_CHECKING:
@@ -153,12 +154,7 @@ class FormulaicLexicon:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "FormulaicLexicon":
-        patterns = set()
-        for raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            patterns.add(normalize_utterance(line))
+        patterns = (normalize_utterance(line) for _, line in table_lines(lines))
         return cls(frozenset(patterns))
 
     @classmethod
@@ -328,7 +324,7 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
             removed_q = True
 
     stripped_text = " ".join(t.form for t in toks if t.id in removed)
-    kept = [replace(t, feats=dict(t.feats)) for t in toks if t.id not in removed]
+    kept = [t.copy() for t in toks if t.id not in removed]
     if not kept:
         return sentence
 
@@ -471,7 +467,8 @@ def _is_base_form(tok: Token) -> bool:
 # UD decision list
 # ---------------------------------------------------------------------------
 
-def _ud_rule_1_formulaic(c: _Clause, lexicon: FormulaicLexicon) -> bool:
+# Shared by both decision lists: it reads only ``.tokens``.
+def _rule_1_formulaic(c: _Clause | Sentence, lexicon: FormulaicLexicon) -> bool:
     return " ".join(t.form for t in c.tokens) in lexicon
 
 
@@ -638,7 +635,7 @@ def _ud_rule_12_fallback(c: _Clause, lexicon) -> bool:
 
 
 UD_RULES: tuple[tuple[int, CxnLabel, Callable], ...] = (
-    (1, CxnLabel.FOR, _ud_rule_1_formulaic),
+    (1, CxnLabel.FOR, _rule_1_formulaic),
     (2, CxnLabel.FRA, _ud_rule_2_incomplete_or_exclamative),
     (3, CxnLabel.QYN, _ud_rule_3_aux_inversion),
     (4, CxnLabel.QWH, _ud_rule_4_fronted_wh),
@@ -709,10 +706,6 @@ def _pos_ends_q(sentence: Sentence) -> bool:
     return False
 
 
-def _pos_rule_1_formulaic(s: Sentence, lexicon: FormulaicLexicon) -> bool:
-    return " ".join(t.form for t in s.tokens) in lexicon
-
-
 def _pos_rule_2_wh_question(s: Sentence, lexicon) -> bool:
     first = _pos_first_content(s)
     return (
@@ -775,7 +768,7 @@ def _pos_rule_9_fallback(s: Sentence, lexicon) -> bool:
 
 
 POS_RULES: tuple[tuple[int, CxnLabel, Callable], ...] = (
-    (1, CxnLabel.FOR, _pos_rule_1_formulaic),
+    (1, CxnLabel.FOR, _rule_1_formulaic),
     (2, CxnLabel.QWH, _pos_rule_2_wh_question),
     (3, CxnLabel.QYN, _pos_rule_3_yn_question),
     (4, CxnLabel.FRA, _pos_rule_4_no_verb),
@@ -909,8 +902,11 @@ def tag_conllu(
     ]
     if len(tasks) == 1:
         return _in_file_order(map(_tag_chunk, tasks))
+    # Take every result before the pool shuts down: terminating workers while
+    # results are pending can leave the result queue locked and hang the exit.
     with _pool(min(jobs, len(tasks))) as pool:
-        return _in_file_order(pool.imap(_tag_chunk, tasks))
+        parts = list(pool.imap(_tag_chunk, tasks))
+    return _in_file_order(parts)
 
 
 def _in_file_order(parts: Iterable[tuple]) -> list[TagResult]:
@@ -978,10 +974,7 @@ def load_gold_labels(source: str | Path) -> dict[str, CxnLabel]:
     """Read a two-column gold TSV: sent_id TAB label."""
     gold: dict[str, CxnLabel] = {}
     lines = Path(source).read_text(encoding="utf-8").splitlines()
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in table_lines(lines):
         sent_id, tab, label = line.partition("\t")
         if not tab:
             raise ValueError(f"{source}: line {line_no}: no tab in row {line!r}")

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, TYPE_CHECKING, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .conllu import Sentence, SpeakerRole, Token, Treebank
 
@@ -113,7 +114,10 @@ def _norm_form(form: str) -> str:
     return unicodedata.normalize("NFC", "".join(form.split()))
 
 
-def align(gold: Sentence, pred: Sentence) -> list[tuple[Token, Token]]:
+_Pairs = list[tuple[Token, Token]]
+
+
+def align(gold: Sentence, pred: Sentence) -> _Pairs:
     """Pair syntactic words positionally; MWT ranges and empty nodes are
     not part of the token sequence and therefore never scored."""
     if len(gold.tokens) != len(pred.tokens):
@@ -145,7 +149,12 @@ def score_sentence(
     ``universal_deprel_only`` is set. Punctuation is scored; it is only
     excluded from ``length_nopunct``.
     """
-    pairs = align(gold, pred)
+    return _score_pairs(gold, align(gold, pred), universal_deprel_only)
+
+
+def _score_pairs(
+    gold: Sentence, pairs: _Pairs, universal_deprel_only: bool
+) -> SentencePairScore:
     n_scored = len(pairs)
     n_head = 0
     n_las = 0
@@ -211,14 +220,17 @@ def aggregate(scores: Sequence[SentencePairScore]) -> EvalReport:
     )
 
 
-def _pair_sentences(gold: Treebank, pred: Treebank) -> list[tuple[Sentence, Sentence]]:
+def _aligned(gold: Treebank, pred: Treebank) -> Iterator[tuple[Sentence, _Pairs]]:
+    """Each gold sentence with its aligned token pairs, aligned as they are
+    taken, so that no caller holds the alignments of the whole treebank."""
     if len(gold.sentences) != len(pred.sentences):
         raise AlignmentError(
             "<treebank>",
             0,
             f"sentence counts differ ({len(gold.sentences)} vs {len(pred.sentences)})",
         )
-    return list(zip(gold.sentences, pred.sentences))
+    for gsent, psent in zip(gold.sentences, pred.sentences):
+        yield gsent, align(gsent, psent)
 
 
 def tag_accuracy(gold: Treebank, pred: Treebank, tagfield: str = "upos") -> float:
@@ -227,11 +239,9 @@ def tag_accuracy(gold: Treebank, pred: Treebank, tagfield: str = "upos") -> floa
         raise ValueError(f"tagfield must be 'upos' or 'xpos', got {tagfield!r}")
     total = 0
     equal = 0
-    for gsent, psent in _pair_sentences(gold, pred):
-        for g, p in align(gsent, psent):
-            total += 1
-            if getattr(g, tagfield) == getattr(p, tagfield):
-                equal += 1
+    for _, pairs in _aligned(gold, pred):
+        total += len(pairs)
+        equal += sum(getattr(g, tagfield) == getattr(p, tagfield) for g, p in pairs)
     if total == 0:
         raise ValueError("no tokens to score")
     return 100.0 * equal / total
@@ -242,15 +252,18 @@ def evaluate_treebanks(
 ) -> EvalReport:
     """Score every sentence pair and aggregate, adding tag accuracies when
     the prediction carries any POS annotation."""
-    scores = [
-        score_sentence(g, p, universal_deprel_only=universal_deprel_only)
-        for g, p in _pair_sentences(gold, pred)
-    ]
-    report = aggregate(scores)
+    scores = []
+    total = upos_equal = xpos_equal = 0
+    for gsent, pairs in _aligned(gold, pred):
+        scores.append(_score_pairs(gsent, pairs, universal_deprel_only))
+        total += len(pairs)
+        upos_equal += sum(g.upos == p.upos for g, p in pairs)
+        xpos_equal += sum(g.xpos == p.xpos for g, p in pairs)
+    report = aggregate(scores)  # raises unless total > 0
     if any(t.upos != "_" for s in pred.sentences for t in s.tokens):
-        report.upos_acc = tag_accuracy(gold, pred, "upos")
+        report.upos_acc = 100.0 * upos_equal / total
     if any(t.xpos != "_" for s in pred.sentences for t in s.tokens):
-        report.xpos_acc = tag_accuracy(gold, pred, "xpos")
+        report.xpos_acc = 100.0 * xpos_equal / total
     return report
 
 
@@ -348,6 +361,16 @@ class ErrorScope(Enum):
     LABEL_ONLY = "label"  # only a wrong label counts
 
 
+def _deprel_counts(gold: Treebank, pred: Treebank) -> Counter[tuple[str, str, bool]]:
+    """Aligned-token counts keyed by (gold deprel, predicted deprel, head
+    correct)."""
+    return Counter(
+        (g.deprel, p.deprel, g.head == p.head)
+        for _, pairs in _aligned(gold, pred)
+        for g, p in pairs
+    )
+
+
 def per_label_error_rates(
     gold: Treebank,
     pred: Treebank,
@@ -358,19 +381,14 @@ def per_label_error_rates(
     labels with fewer than ``min_gold`` gold instances are omitted."""
     if min_gold < 1:
         raise ValueError("min_gold must be >= 1")
-    freq: dict[str, int] = {}
-    errors: dict[str, int] = {}
-    for gsent, psent in _pair_sentences(gold, pred):
-        for g, p in align(gsent, psent):
-            freq[g.deprel] = freq.get(g.deprel, 0) + 1
-            if scope is ErrorScope.LAS:
-                wrong = g.head != p.head or g.deprel != p.deprel
-            else:
-                wrong = g.deprel != p.deprel
-            if wrong:
-                errors[g.deprel] = errors.get(g.deprel, 0) + 1
+    freq: Counter[str] = Counter()
+    errors: Counter[str] = Counter()
+    for (g, p, head_ok), count in _deprel_counts(gold, pred).items():
+        freq[g] += count
+        if g != p or (scope is ErrorScope.LAS and not head_ok):
+            errors[g] += count
     return {
-        label: errors.get(label, 0) / count
+        label: errors[label] / count
         for label, count in sorted(freq.items())
         if count >= min_gold
     }
@@ -414,21 +432,16 @@ def confusion(
     """Gold-by-predicted deprel counts over aligned tokens."""
     import numpy as np
 
-    pair_counts: dict[tuple[str, str], int] = {}
-    labels: set[str] = set()
-    for gsent, psent in _pair_sentences(gold, pred):
-        for g, p in align(gsent, psent):
-            if scope is ConfusionScope.LAS_ERRORS and g.head == p.head and g.deprel == p.deprel:
-                continue
-            labels.add(g.deprel)
-            labels.add(p.deprel)
-            key = (g.deprel, p.deprel)
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-    ordered = sorted(labels)
+    kept = [
+        (g, p, count)
+        for (g, p, head_ok), count in _deprel_counts(gold, pred).items()
+        if not (scope is ConfusionScope.LAS_ERRORS and head_ok and g == p)
+    ]
+    ordered = sorted({label for g, p, _ in kept for label in (g, p)})
     index = {label: i for i, label in enumerate(ordered)}
     counts = np.zeros((len(ordered), len(ordered)), dtype=np.int64)
-    for (g, p), c in pair_counts.items():
-        counts[index[g], index[p]] = c
+    for g, p, count in kept:
+        counts[index[g], index[p]] += count
     return ConfusionMatrix(ordered, counts)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .conllu import Sentence, Token, Treebank
 
@@ -58,38 +58,8 @@ def _context(sentence: Sentence, token: Token, window: int = 2) -> str:
     return " ".join(t.form for t in sentence.tokens if lo <= t.id <= hi)
 
 
-def _is_possessive_pronoun(tok: Token) -> bool:
+def _is_possessive_pronoun(sentence: Sentence, tok: Token) -> bool:
     return tok.upos == "PRON" and tok.feats.get("Poss") == "Yes"
-
-
-def lint_poss_det(tb: Treebank) -> LintReport:
-    """Possessive pronouns (PRON, Poss=Yes) attached as det.
-
-    Candidates are all possessive-pronoun prenominal modifiers: the flagged
-    tokens plus those already labeled nmod:poss.
-    """
-    report = LintReport(LintRule.POSS_AS_DET)
-    for sentence in tb.sentences:
-        for tok in sentence.tokens:
-            if not _is_possessive_pronoun(tok):
-                continue
-            if tok.deprel == "det":
-                report.n_flagged += 1
-                report.n_candidates += 1
-                report.findings.append(
-                    LintFinding(
-                        sentence.sent_id,
-                        tok.id,
-                        LintRule.POSS_AS_DET,
-                        tok.deprel,
-                        _SUGGESTION[LintRule.POSS_AS_DET],
-                        _context(sentence, tok),
-                    )
-                )
-            elif tok.deprel == "nmod:poss":
-                report.n_candidates += 1
-    report.findings.sort(key=lambda f: (f.sent_id, f.token_id))
-    return report
 
 
 def _is_nn_premodifier(sentence: Sentence, tok: Token) -> bool:
@@ -107,30 +77,48 @@ def _is_nn_premodifier(sentence: Sentence, tok: Token) -> bool:
     )
 
 
-def lint_nn_nmod(tb: Treebank) -> LintReport:
-    """Noun-premodifying nouns attached as nmod instead of compound."""
-    report = LintReport(LintRule.NN_AS_NMOD)
+def _lint(
+    tb: Treebank,
+    rule: LintRule,
+    is_candidate: Callable[[Sentence, Token], bool],
+    flagged_deprel: str,
+) -> LintReport:
+    """Flag candidates labeled ``flagged_deprel``; candidates already
+    labeled ``_SUGGESTION[rule]`` count towards the rate only."""
+    accepted = _SUGGESTION[rule]
+    report = LintReport(rule)
     for sentence in tb.sentences:
         for tok in sentence.tokens:
-            if not _is_nn_premodifier(sentence, tok):
-                continue
-            if tok.deprel == "nmod":
-                report.n_flagged += 1
+            if tok.deprel in (flagged_deprel, accepted) and is_candidate(sentence, tok):
                 report.n_candidates += 1
-                report.findings.append(
-                    LintFinding(
-                        sentence.sent_id,
-                        tok.id,
-                        LintRule.NN_AS_NMOD,
-                        tok.deprel,
-                        _SUGGESTION[LintRule.NN_AS_NMOD],
-                        _context(sentence, tok),
+                if tok.deprel == flagged_deprel:
+                    report.n_flagged += 1
+                    report.findings.append(
+                        LintFinding(
+                            sentence.sent_id,
+                            tok.id,
+                            rule,
+                            tok.deprel,
+                            accepted,
+                            _context(sentence, tok),
+                        )
                     )
-                )
-            elif tok.deprel == "compound":
-                report.n_candidates += 1
     report.findings.sort(key=lambda f: (f.sent_id, f.token_id))
     return report
+
+
+def lint_poss_det(tb: Treebank) -> LintReport:
+    """Possessive pronouns (PRON, Poss=Yes) attached as det.
+
+    Candidates are all possessive-pronoun prenominal modifiers: the flagged
+    tokens plus those already labeled nmod:poss.
+    """
+    return _lint(tb, LintRule.POSS_AS_DET, _is_possessive_pronoun, "det")
+
+
+def lint_nn_nmod(tb: Treebank) -> LintReport:
+    """Noun-premodifying nouns attached as nmod instead of compound."""
+    return _lint(tb, LintRule.NN_AS_NMOD, _is_nn_premodifier, "nmod")
 
 
 def lint_all(tb: Treebank) -> list[LintReport]:
@@ -148,9 +136,6 @@ def apply_fixes(tb: Treebank, findings: Sequence[LintFinding]) -> Treebank:
         if not fixes:
             sentences.append(sentence)
             continue
-        tokens = [
-            replace(t, feats=dict(t.feats), deprel=fixes.get(t.id, t.deprel))
-            for t in sentence.tokens
-        ]
+        tokens = [t.copy(deprel=fixes.get(t.id, t.deprel)) for t in sentence.tokens]
         sentences.append(replace(sentence, tokens=tokens))
     return replace(tb, sentences=sentences)

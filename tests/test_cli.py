@@ -668,3 +668,15 @@ def test_log_level_holds_when_the_host_configured_logging(
     assert cait_log.handlers == []
     assert cait_log.level == logging.NOTSET
     assert cait_log.propagate
+
+
+@pytest.mark.parametrize("command", ["parse", "tag"])
+def test_bad_model_header_is_one_error_line(capsys, tmp_path, corpus_path, command):
+    model = tmp_path / "bad.model"
+    model.write_text("garbage\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, command, "--input", str(corpus_path), "--model", str(model),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: bad magic header 'garbage'; expected CAITB1\n"

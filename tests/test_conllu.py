@@ -378,3 +378,34 @@ def test_normalize_logs_repairs_in_diagnostics():
     out = normalize(sentence, {})
     assert any(isinstance(d, Diagnostic) and d.code == "extra-root"
                for d in out.diagnostics)
+
+
+def test_role_map_names_the_line_of_a_bad_role(tmp_path):
+    from cait.conllu import load_role_map
+
+    path = tmp_path / "roles.tsv"
+    path.write_text("# code\trole\n\nCHI\tCS\nGRA\tXyz \n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_role_map(path)
+    assert str(info.value) == f"{path}: line 4: 'Xyz' is not a speaker role"
+
+
+def test_token_copy_carries_every_field_and_never_shares_feats():
+    import dataclasses
+
+    tok = Token(3, "dogs", "dog", "NOUN", "NNS", {"Number": "Plur"}, 2, "obj",
+                "2:obj", "SpaceAfter=No")
+    names = [f.name for f in dataclasses.fields(Token)]
+    copy = tok.copy()
+    assert [getattr(copy, n) for n in names] == [getattr(tok, n) for n in names]
+    assert copy.feats is not tok.feats
+    copy.feats["Case"] = "Acc"
+    assert tok.feats == {"Number": "Plur"}
+    changed = tok.copy(head=0, deprel="root", upos="PROPN")
+    assert (changed.head, changed.deprel, changed.upos) == (0, "root", "PROPN")
+    assert (tok.head, tok.deprel, tok.upos) == (2, "obj", "NOUN")
+    assert changed.feats == tok.feats and changed.feats is not tok.feats
+    values = {"id": 9, "head": 9, "feats": {"Poss": "Yes"}}
+    for name in names:
+        value = values.get(name, "x")
+        assert getattr(tok.copy(**{name: value}), name) == value, name
