@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 data or validation errors (diagnostics go to
 stderr), 2 usage errors. Analytic output goes to stdout or to ``--out``
 paths; logs never mix into data streams. "-" means stdin/stdout.
 Identical invocations on identical inputs are byte-identical, including
-across ``--jobs`` settings.
+across ``--jobs`` settings. ``tag-cxn`` and ``case-study`` start worker
+processes only for an input of at least two 64 KiB chunks, and no more
+than ``--jobs`` or the number of chunks; a smaller input is tagged in
+process.
 """
 
 from __future__ import annotations

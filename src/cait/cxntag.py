@@ -13,6 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -162,7 +163,9 @@ class FormulaicLexicon:
         return cls.from_lines(Path(path).read_text(encoding="utf-8").splitlines())
 
     @classmethod
+    @cache
     def default(cls) -> "FormulaicLexicon":
+        """The packaged lexicon, read once per process."""
         data = resources.files("cait").joinpath("data/formulaic_lexicon.txt")
         return cls.from_lines(data.read_text(encoding="utf-8").splitlines())
 
@@ -194,42 +197,24 @@ TAG_QUESTION_SURFACE = frozenset(
 )
 
 
-def _subtree_ids(sentence: Sentence, head_id: int) -> set[int]:
-    children: dict[int, list[int]] = {}
-    for tok in sentence.tokens:
-        children.setdefault(tok.head, []).append(tok.id)
-    out = {head_id}
-    stack = [head_id]
-    while stack:
-        cur = stack.pop()
-        for child in children.get(cur, []):
-            if child not in out:
-                out.add(child)
-                stack.append(child)
-    return out
-
-
-def _structural_tag_span(sentence: Sentence) -> set[int] | None:
-    toks = sentence.tokens
-    by_id = {t.id: t for t in toks}
-    content = [t for t in toks if t.upos != "PUNCT"]
+def _structural_tag_span(view: _View) -> set[int] | None:
+    content = view.content
     if len(content) < 3:
         return None
     last_content = content[-1].id
-    root = sentence.root()
-    for head in toks:
+    for head in view.tokens:
         if head.deprel_base != "parataxis":
             continue
         if head.upos != "AUX" and head.effective_lemma() not in AUX_LEMMAS:
             continue
-        sub = _subtree_ids(sentence, head.id)
-        non_punct = [i for i in sub if by_id[i].upos != "PUNCT"]
+        sub = _subtree_ids(view, head.id)
+        non_punct = [i for i in sub if view.by_id[i].upos != "PUNCT"]
         if not non_punct or max(non_punct) != last_content:
             continue
         pron = neg = 0
         ok = True
         for i in sorted(sub):
-            tok = by_id[i]
+            tok = view.by_id[i]
             if tok is head or tok.upos == "PUNCT":
                 continue
             if tok.upos == "PRON" and tok.deprel_base in SUBJECT_RELATIONS:
@@ -243,7 +228,7 @@ def _structural_tag_span(sentence: Sentence) -> set[int] | None:
             continue
         if min(sub) <= 1:
             continue
-        if root is not None and root.id in sub:
+        if view.root is not None and view.root.id in sub:
             continue
         ids = sorted(sub)
         if ids != list(range(ids[0], ids[-1] + 1)):
@@ -252,10 +237,8 @@ def _structural_tag_span(sentence: Sentence) -> set[int] | None:
     return None
 
 
-def _surface_tag_span(sentence: Sentence) -> set[int] | None:
-    toks = sentence.tokens
-    content = [t for t in toks if t.upos != "PUNCT"]
-    root = sentence.root()
+def _surface_tag_span(view: _View) -> set[int] | None:
+    content = view.content
     for k in (3, 2, 1):
         if len(content) - k < 1:
             continue
@@ -266,13 +249,12 @@ def _surface_tag_span(sentence: Sentence) -> set[int] | None:
         key = normalize_utterance(" ".join(t.form for t in tail))
         if key not in TAG_QUESTION_SURFACE:
             continue
-        if root is not None and root.id in positions:
+        if view.root is not None and view.root.id in positions:
             continue
         if k < 3:
             # Short tags are ambiguous with clause cores ("what is it?");
             # demand explicit loose attachment or a comma boundary.
-            by_id = {t.id: t for t in toks}
-            prev = by_id.get(positions[0] - 1)
+            prev = view.by_id.get(positions[0] - 1)
             loose = any(
                 t.deprel_base in ("parataxis", "discourse") for t in tail
             )
@@ -304,17 +286,17 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     is itself interrogative. Identity when no tag is present; idempotent.
     The removed surface text is logged as a ``tag-question`` diagnostic.
     """
-    span = _structural_tag_span(sentence) or _surface_tag_span(sentence)
+    view = _View(sentence)
+    span = _structural_tag_span(view) or _surface_tag_span(view)
     if span is None:
         return sentence
     toks = sentence.tokens
-    by_id = {t.id: t for t in toks}
 
     removed = set(span)
-    prev = by_id.get(min(span) - 1)
+    prev = view.by_id.get(min(span) - 1)
     if prev is not None and prev.form == ",":
         removed.add(prev.id)
-    max_content = max(t.id for t in toks if t.upos != "PUNCT")
+    max_content = max(t.id for t in view.content)
     removed_q = False
     for tok in toks:
         if tok.id > max_content and tok.upos == "PUNCT" and "?" in tok.form:
@@ -337,17 +319,8 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
 
     if removed_q:
         mark = "?" if _remains_interrogative(kept) else "."
-        kept.append(
-            Token(
-                id=max(t.id for t in kept) + 1,
-                form=mark,
-                lemma=mark,
-                upos="PUNCT",
-                xpos=".",
-                head=root_id,
-                deprel="punct",
-            )
-        )
+        kept.append(Token(max(t.id for t in kept) + 1, mark, mark, "PUNCT", ".",
+                          head=root_id, deprel="punct"))
 
     id_map = {tok.id: i + 1 for i, tok in enumerate(kept)}
     for tok in kept:
@@ -380,38 +353,61 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
 
 
 # ---------------------------------------------------------------------------
-# Shared clause helpers
+# Sentence view and shared rule helpers
 # ---------------------------------------------------------------------------
 
-class _Clause:
-    """Precomputed views over one sentence for the UD rule predicates."""
+class _View:
+    """One sentence as tag-question stripping and both decision lists read
+    it. Each public call builds one. The parts that only some rules read are
+    computed on first use, and the cheapest on every use."""
 
     def __init__(self, sentence: Sentence):
+        self.sentence = sentence
         self.tokens = sentence.tokens
-        self.by_id = {t.id: t for t in self.tokens}
-        self.children: dict[int, list[Token]] = {}
-        for tok in self.tokens:
-            self.children.setdefault(tok.head, []).append(tok)
-        roots = self.children.get(0, [])
-        self.root: Token | None = roots[0] if roots else None
         self.content = [t for t in self.tokens if t.upos != "PUNCT"]
+
+    @cached_property
+    def root(self) -> Token | None:
+        return self.sentence.root()
+
+    @cached_property
+    def by_id(self) -> dict[int, Token]:
+        # The last token of a duplicate id wins.
+        return {t.id: t for t in self.tokens}
+
+    @cached_property
+    def children(self) -> dict[int, list[tuple[Token, str]]]:
+        """(token, deprel base) pairs by head id, each list in token order."""
+        children: dict[int, list[tuple[Token, str]]] = {}
+        for tok in self.tokens:
+            children.setdefault(tok.head, []).append((tok, tok.deprel_base))
+        return children
+
+    @cached_property
+    def first_core(self) -> Token | None:
+        """The first content token outside discourse and vocative subtrees."""
         peripheral: set[int] = set()
-        for tok in self.tokens:
-            if tok.deprel_base in ("discourse", "vocative"):
-                peripheral.update(_subtree_ids(sentence, tok.id))
-        self.first_core: Token | None = None
-        for tok in self.tokens:
-            if tok.upos == "PUNCT" or tok.id in peripheral:
-                continue
-            self.first_core = tok
-            break
+        for siblings in self.children.values():
+            for tok, base in siblings:
+                if base in ("discourse", "vocative"):
+                    peripheral |= _subtree_ids(self, tok.id)
+        for tok in self.content:
+            if tok.id not in peripheral:
+                return tok
+        return None
 
-    def deps(self, tok: Token | None, *bases: str) -> list[Token]:
-        if tok is None:
-            return []
-        return [c for c in self.children.get(tok.id, []) if c.deprel_base in bases]
+    @property
+    def pos_first(self) -> Token | None:
+        """The first content token that is not an interjection."""
+        for tok in self.content:
+            if tok.upos != "INTJ":
+                return tok
+        return None
 
-    def ends_with_question_mark(self) -> bool:
+    @property
+    def ud_ends_q(self) -> bool:
+        """A "?" in the final run of tokens that are PUNCT or attached as
+        punct."""
         for tok in reversed(self.tokens):
             if tok.upos != "PUNCT" and tok.deprel_base != "punct":
                 return False
@@ -419,10 +415,20 @@ class _Clause:
                 return True
         return False
 
-    def is_wh(self, tok: Token) -> bool:
-        if "Int" in tok.feats.get("PronType", ""):
-            return True
-        return tok.effective_lemma() in WH_WORDS
+    @property
+    def pos_ends_q(self) -> bool:
+        """A "?" in the final run of PUNCT tokens."""
+        for tok in reversed(self.tokens):
+            if tok.upos != "PUNCT":
+                return False
+            if "?" in tok.form:
+                return True
+        return False
+
+    def deps(self, tok: Token | None, *bases: str) -> list[Token]:
+        if tok is None:
+            return []
+        return [c for c, base in self.children.get(tok.id, ()) if base in bases]
 
     def in_main_clause(self, tok: Token) -> bool:
         cur = tok
@@ -438,11 +444,34 @@ class _Clause:
         return cur.head == 0
 
 
-def _is_exclusion(sentence: Sentence) -> bool:
-    content = [t for t in sentence.tokens if t.upos != "PUNCT"]
-    return bool(content) and all(
-        t.form.lower() in TRANSCRIPTION_MARKERS for t in content
-    )
+def _subtree_ids(view: _View, head_id: int) -> set[int]:
+    out = {head_id}
+    stack = [head_id]
+    while stack:
+        for child, _ in view.children.get(stack.pop(), ()):
+            if child.id not in out:
+                out.add(child.id)
+                stack.append(child.id)
+    return out
+
+
+# Rule 0 of both decision lists.
+def _is_exclusion(view: _View, lexicon) -> bool:
+    for tok in view.content:
+        if tok.form.lower() not in TRANSCRIPTION_MARKERS:
+            return False
+    return bool(view.content)
+
+
+# Rule 1 of both decision lists.
+def _rule_1_formulaic(view: _View, lexicon: FormulaicLexicon) -> bool:
+    return " ".join(t.form for t in view.tokens) in lexicon
+
+
+def _is_wh(tok: Token) -> bool:
+    if "Int" in tok.feats.get("PronType", ""):
+        return True
+    return tok.effective_lemma() in WH_WORDS
 
 
 def _is_past_participle(tok: Token) -> bool:
@@ -467,12 +496,7 @@ def _is_base_form(tok: Token) -> bool:
 # UD decision list
 # ---------------------------------------------------------------------------
 
-# Shared by both decision lists: it reads only ``.tokens``.
-def _rule_1_formulaic(c: _Clause | Sentence, lexicon: FormulaicLexicon) -> bool:
-    return " ".join(t.form for t in c.tokens) in lexicon
-
-
-def _ud_rule_2_incomplete_or_exclamative(c: _Clause, lexicon) -> bool:
+def _ud_rule_2_incomplete_or_exclamative(c: _View, lexicon) -> bool:
     root = c.root
     # Incomplete copula: bare "be" root with nothing beyond a subject,
     # expletive or peripheral material. An expletive TOGETHER with a
@@ -480,8 +504,7 @@ def _ud_rule_2_incomplete_or_exclamative(c: _Clause, lexicon) -> bool:
     if root is not None and root.effective_lemma() == "be":
         has_subj = has_expl = False
         ok = True
-        for child in c.children.get(root.id, []):
-            base = child.deprel_base
+        for child, base in c.children.get(root.id, ()):
             if base == "punct":
                 continue
             if base in SUBJECT_RELATIONS:
@@ -507,11 +530,11 @@ def _ud_rule_2_incomplete_or_exclamative(c: _Clause, lexicon) -> bool:
     return bool(rest) and rest[0].effective_lemma() in ("a", "an")
 
 
-def _ud_rule_3_aux_inversion(c: _Clause, lexicon) -> bool:
+def _ud_rule_3_aux_inversion(c: _View, lexicon) -> bool:
     first = c.first_core
     if first is None or first.upos != "AUX":
         return False
-    if not c.ends_with_question_mark():
+    if not c.ud_ends_q:
         return False
     clause_head = c.by_id.get(first.head) if first.head != 0 else first
     if first.deprel_base not in ("aux", "cop") and first.head != 0:
@@ -522,9 +545,9 @@ def _ud_rule_3_aux_inversion(c: _Clause, lexicon) -> bool:
     return any(s.id > first.id for s in subjects)
 
 
-def _ud_rule_4_fronted_wh(c: _Clause, lexicon) -> bool:
+def _ud_rule_4_fronted_wh(c: _View, lexicon) -> bool:
     first = c.first_core
-    if first is None or not c.is_wh(first) or not c.in_main_clause(first):
+    if first is None or not _is_wh(first) or not c.in_main_clause(first):
         return False
     limit_positions = [
         t.id
@@ -535,19 +558,21 @@ def _ud_rule_4_fronted_wh(c: _Clause, lexicon) -> bool:
     return first.id <= min(limit_positions)
 
 
-def _ud_rule_5_complex(c: _Clause, lexicon) -> bool:
-    for tok in c.tokens:
-        if c.deps(tok, *COMPLEX_RELATIONS):
-            return True
-    for tok in c.tokens:
-        if tok.upos == "VERB" and tok.deprel_base == "conj":
-            head = c.by_id.get(tok.head)
-            if head is not None and head.upos == "VERB":
+def _ud_rule_5_complex(c: _View, lexicon) -> bool:
+    # A complex relation under any token, or a verb conjoined to a verb.
+    for head_id, siblings in c.children.items():
+        head = c.by_id.get(head_id)
+        if head is None:
+            continue
+        for tok, base in siblings:
+            if base in COMPLEX_RELATIONS:
+                return True
+            if base == "conj" and tok.upos == "VERB" and head.upos == "VERB":
                 return True
     return False
 
 
-def _ud_rule_6_copula(c: _Clause, lexicon) -> bool:
+def _ud_rule_6_copula(c: _View, lexicon) -> bool:
     root = c.root
     if root is None:
         return False
@@ -561,7 +586,7 @@ def _ud_rule_6_copula(c: _Clause, lexicon) -> bool:
     return bool(be_aux) and _is_past_participle(root)
 
 
-def _ud_rule_7_fragment(c: _Clause, lexicon) -> bool:
+def _ud_rule_7_fragment(c: _View, lexicon) -> bool:
     root = c.root
     if root is None:
         return True
@@ -574,7 +599,7 @@ def _ud_rule_7_fragment(c: _Clause, lexicon) -> bool:
     return False
 
 
-def _ud_rule_8_imperative(c: _Clause, lexicon) -> bool:
+def _ud_rule_8_imperative(c: _View, lexicon) -> bool:
     root = c.root
     if root is None:
         return False
@@ -592,7 +617,7 @@ def _ud_rule_8_imperative(c: _Clause, lexicon) -> bool:
     ):
         return True
     # Emphatic "you" imperative: you + base-form verb, no question mark.
-    if root.upos == "VERB" and not c.ends_with_question_mark():
+    if root.upos == "VERB" and not c.ud_ends_q:
         for subj in subjects:
             if (
                 subj.effective_lemma() == "you"
@@ -603,7 +628,7 @@ def _ud_rule_8_imperative(c: _Clause, lexicon) -> bool:
     return False
 
 
-def _ud_rule_9_elliptic_aux(c: _Clause, lexicon) -> bool:
+def _ud_rule_9_elliptic_aux(c: _View, lexicon) -> bool:
     root = c.root
     return (
         root is not None
@@ -613,7 +638,7 @@ def _ud_rule_9_elliptic_aux(c: _Clause, lexicon) -> bool:
     )
 
 
-def _ud_rule_10_transitive(c: _Clause, lexicon) -> bool:
+def _ud_rule_10_transitive(c: _View, lexicon) -> bool:
     root = c.root
     if root is None:
         return False
@@ -626,15 +651,16 @@ def _ud_rule_10_transitive(c: _Clause, lexicon) -> bool:
     return False
 
 
-def _ud_rule_11_verb_rooted(c: _Clause, lexicon) -> bool:
+def _ud_rule_11_verb_rooted(c: _View, lexicon) -> bool:
     return c.root is not None and c.root.upos in ("VERB", "AUX")
 
 
-def _ud_rule_12_fallback(c: _Clause, lexicon) -> bool:
+def _ud_rule_12_fallback(c: _View, lexicon) -> bool:
     return True
 
 
 UD_RULES: tuple[tuple[int, CxnLabel, Callable], ...] = (
+    (0, CxnLabel.X, _is_exclusion),
     (1, CxnLabel.FOR, _rule_1_formulaic),
     (2, CxnLabel.FRA, _ud_rule_2_incomplete_or_exclamative),
     (3, CxnLabel.QYN, _ud_rule_3_aux_inversion),
@@ -649,125 +675,62 @@ UD_RULES: tuple[tuple[int, CxnLabel, Callable], ...] = (
     (12, CxnLabel.FRA, _ud_rule_12_fallback),
 )
 
-
-def ud_rule_trace(
-    sentence: Sentence, lexicon: FormulaicLexicon | None = None
-) -> list[tuple[int, CxnLabel, bool]]:
-    """Evaluate every UD rule predicate independently (for auditing the
-    first-match property); rule 0 is the transcription-marker exclusion."""
-    lexicon = lexicon or FormulaicLexicon.default()
-    trace = [(0, CxnLabel.X, _is_exclusion(sentence))]
-    clause = _Clause(sentence)
-    for ordinal, label, pred in UD_RULES:
-        trace.append((ordinal, label, bool(pred(clause, lexicon))))
-    return trace
-
-
-def tag_ud(
-    sentence: Sentence, lexicon: FormulaicLexicon | None = None
-) -> TaggedUtterance:
-    """First matching step of the UD decision list wins."""
-    lexicon = lexicon or FormulaicLexicon.default()
-    if _is_exclusion(sentence):
-        return TaggedUtterance(sentence.sent_id, CxnLabel.X, Backend.UD_RULES, 0)
-    missing = [
-        t.id for t in sentence.tokens if t.upos == "_" or t.deprel == "_"
-    ]
-    if missing:
-        raise MissingAnnotationError(
-            f"sentence {sentence.sent_id}: tokens {missing} lack UPOS or deprel "
-            "annotation; use the POS_RULES backend for un-parsed input"
-        )
-    clause = _Clause(sentence)
-    for ordinal, label, pred in UD_RULES:
-        if pred(clause, lexicon):
-            return TaggedUtterance(sentence.sent_id, label, Backend.UD_RULES, ordinal)
-    raise AssertionError("rule 12 is total")  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # POS-only decision list
 # ---------------------------------------------------------------------------
 
-def _pos_first_content(sentence: Sentence) -> Token | None:
-    for tok in sentence.tokens:
-        if tok.upos in ("PUNCT", "INTJ"):
-            continue
-        return tok
-    return None
+def _pos_rule_2_wh_question(v: _View, lexicon) -> bool:
+    first = v.pos_first
+    return v.pos_ends_q and first is not None and first.effective_lemma() in WH_WORDS
 
 
-def _pos_ends_q(sentence: Sentence) -> bool:
-    for tok in reversed(sentence.tokens):
-        if tok.upos != "PUNCT":
-            return False
-        if "?" in tok.form:
-            return True
-    return False
+def _pos_rule_3_yn_question(v: _View, lexicon) -> bool:
+    first = v.pos_first
+    return v.pos_ends_q and first is not None and first.upos == "AUX"
 
 
-def _pos_rule_2_wh_question(s: Sentence, lexicon) -> bool:
-    first = _pos_first_content(s)
-    return (
-        _pos_ends_q(s)
-        and first is not None
-        and first.effective_lemma() in WH_WORDS
-    )
+def _pos_rule_4_no_verb(v: _View, lexicon) -> bool:
+    return not any(t.upos in ("VERB", "AUX") for t in v.tokens)
 
 
-def _pos_rule_3_yn_question(s: Sentence, lexicon) -> bool:
-    first = _pos_first_content(s)
-    return _pos_ends_q(s) and first is not None and first.upos == "AUX"
-
-
-def _pos_rule_4_no_verb(s: Sentence, lexicon) -> bool:
-    return not any(t.upos in ("VERB", "AUX") for t in s.tokens)
-
-
-def _pos_rule_5_be_only(s: Sentence, lexicon) -> bool:
-    verbal = [t for t in s.tokens if t.upos in ("VERB", "AUX")]
+def _pos_rule_5_be_only(v: _View, lexicon) -> bool:
+    verbal = [t for t in v.tokens if t.upos in ("VERB", "AUX")]
     return bool(verbal) and all(
         t.effective_lemma() == "be" or t.form.lower() in BE_SURFACE for t in verbal
     )
 
 
-def _pos_rule_6_imperative(s: Sentence, lexicon) -> bool:
-    first = _pos_first_content(s)
+def _pos_rule_6_imperative(v: _View, lexicon) -> bool:
+    first = v.pos_first
     if first is not None and first.upos == "VERB":
         return True
-    toks = s.tokens
-    for i, tok in enumerate(toks[:-1]):
-        if tok.effective_lemma() == "let" and toks[i + 1].form.lower() in (
-            "'s",
-            "us",
-            "’s",
-        ):
+    toks = v.tokens
+    for tok, nxt in zip(toks, toks[1:]):
+        if tok.effective_lemma() == "let" and nxt.form.lower() in ("'s", "us", "’s"):
             return True
     return False
 
 
-def _pos_rule_7_complex(s: Sentence, lexicon) -> bool:
-    if sum(1 for t in s.tokens if t.upos == "VERB") >= 2:
+def _pos_rule_7_complex(v: _View, lexicon) -> bool:
+    if sum(1 for t in v.tokens if t.upos == "VERB") >= 2:
         return True
-    return any(t.upos == "SCONJ" for t in s.tokens)
+    return any(t.upos == "SCONJ" for t in v.tokens)
 
 
-def _pos_rule_8_transitive(s: Sentence, lexicon) -> bool:
-    verb_positions = [i for i, t in enumerate(s.tokens) if t.upos == "VERB"]
+def _pos_rule_8_transitive(v: _View, lexicon) -> bool:
+    verb_positions = [i for i, t in enumerate(v.tokens) if t.upos == "VERB"]
     if not verb_positions:
         return False
     first_verb = min(verb_positions)
-    return any(
-        t.upos in ("NOUN", "PRON", "PROPN")
-        for t in s.tokens[first_verb + 1 :]
-    )
+    return any(t.upos in ("NOUN", "PRON", "PROPN") for t in v.tokens[first_verb + 1 :])
 
 
-def _pos_rule_9_fallback(s: Sentence, lexicon) -> bool:
+def _pos_rule_9_fallback(v: _View, lexicon) -> bool:
     return True
 
 
 POS_RULES: tuple[tuple[int, CxnLabel, Callable], ...] = (
+    (0, CxnLabel.X, _is_exclusion),
     (1, CxnLabel.FOR, _rule_1_formulaic),
     (2, CxnLabel.QWH, _pos_rule_2_wh_question),
     (3, CxnLabel.QYN, _pos_rule_3_yn_question),
@@ -780,27 +743,60 @@ POS_RULES: tuple[tuple[int, CxnLabel, Callable], ...] = (
 )
 
 
+# ---------------------------------------------------------------------------
+# Running a decision list
+# ---------------------------------------------------------------------------
+
+def _first_match(
+    view: _View, backend: Backend, rules: tuple, lexicon: FormulaicLexicon | None
+) -> TaggedUtterance:
+    lexicon = lexicon or FormulaicLexicon.default()
+    for ordinal, label, pred in rules:
+        if pred(view, lexicon):
+            return TaggedUtterance(view.sentence.sent_id, label, backend, ordinal)
+    raise AssertionError("the last rule is total")  # pragma: no cover
+
+
+def _trace(
+    view: _View, rules: tuple, lexicon: FormulaicLexicon | None
+) -> list[tuple[int, CxnLabel, bool]]:
+    lexicon = lexicon or FormulaicLexicon.default()
+    return [(o, label, bool(pred(view, lexicon))) for o, label, pred in rules]
+
+
+def ud_rule_trace(
+    sentence: Sentence, lexicon: FormulaicLexicon | None = None
+) -> list[tuple[int, CxnLabel, bool]]:
+    """Evaluate every UD rule predicate independently (for auditing the
+    first-match property); rule 0 is the transcription-marker exclusion."""
+    return _trace(_View(sentence), UD_RULES, lexicon)
+
+
+def tag_ud(
+    sentence: Sentence, lexicon: FormulaicLexicon | None = None
+) -> TaggedUtterance:
+    """First matching step of the UD decision list wins."""
+    view = _View(sentence)
+    missing = [t.id for t in sentence.tokens if t.upos == "_" or t.deprel == "_"]
+    if missing and not _is_exclusion(view, lexicon):
+        raise MissingAnnotationError(
+            f"sentence {sentence.sent_id}: tokens {missing} lack UPOS or deprel "
+            "annotation; use the POS_RULES backend for un-parsed input"
+        )
+    return _first_match(view, Backend.UD_RULES, UD_RULES, lexicon)
+
+
 def pos_rule_trace(
     sentence: Sentence, lexicon: FormulaicLexicon | None = None
 ) -> list[tuple[int, CxnLabel, bool]]:
-    lexicon = lexicon or FormulaicLexicon.default()
-    trace = [(0, CxnLabel.X, _is_exclusion(sentence))]
-    for ordinal, label, pred in POS_RULES:
-        trace.append((ordinal, label, bool(pred(sentence, lexicon))))
-    return trace
+    return _trace(_View(sentence), POS_RULES, lexicon)
 
 
 def tag_pos(
     sentence: Sentence, lexicon: FormulaicLexicon | None = None
 ) -> TaggedUtterance:
     """POS/word-order heuristics; total, never raises."""
-    lexicon = lexicon or FormulaicLexicon.default()
-    if _is_exclusion(sentence):
-        return TaggedUtterance(sentence.sent_id, CxnLabel.X, Backend.POS_RULES, 0)
-    for ordinal, label, pred in POS_RULES:
-        if pred(sentence, lexicon):
-            return TaggedUtterance(sentence.sent_id, label, Backend.POS_RULES, ordinal)
-    raise AssertionError("rule 9 is total")  # pragma: no cover
+    return _first_match(_View(sentence), Backend.POS_RULES, POS_RULES, lexicon)
 
 
 # ---------------------------------------------------------------------------
@@ -814,14 +810,12 @@ def tag_utterance(
 ) -> TaggedUtterance:
     """Strip an utterance-final tag question, then run one backend."""
     stripped = strip_tag_question(sentence)
-    removed = next(
-        (d.message for d in stripped.diagnostics if d.code == "tag-question"), None
-    )
     if backend is Backend.UD_RULES:
         tagged = tag_ud(stripped, lexicon)
     else:
         tagged = tag_pos(stripped, lexicon)
-    tagged.stripped_tag_question = removed
+    if stripped is not sentence:  # the removed text is its last diagnostic
+        tagged.stripped_tag_question = stripped.diagnostics[-1].message
     return tagged
 
 
@@ -863,19 +857,6 @@ class TagResult(NamedTuple):
     error: str | None
 
 
-def _tag_result(
-    sentence: Sentence, backend: Backend, lexicon: FormulaicLexicon
-) -> TagResult:
-    tagged, error = _tag_or_error(sentence, backend, lexicon)
-    return TagResult(
-        sentence.sent_id,
-        sentence.speaker_role,
-        sentence.child_age_months,
-        tagged,
-        None if error is None else str(error),
-    )
-
-
 # More chunks than workers, so that a worker that finishes early takes more.
 _CHUNKS_PER_JOB = 8
 
@@ -889,9 +870,10 @@ def tag_conllu(
     """Read CoNLL-U strictly and tag every sentence; results in file order.
 
     Read errors are raised exactly as ``read_conllu`` raises them, and
-    before anything is returned. With ``jobs`` > 1, worker processes parse
-    and tag contiguous chunks of the raw text; the results, and the read
-    error raised, do not depend on ``jobs``.
+    before anything is returned. With ``jobs`` > 1, up to ``jobs`` worker
+    processes parse and tag contiguous chunks of the raw text; a text that
+    ``split_chunks`` leaves in one chunk is tagged in process. The results,
+    and the read error raised, do not depend on ``jobs``.
     """
     lexicon = lexicon or FormulaicLexicon.default()
     tasks = [
@@ -949,13 +931,15 @@ def _tag_chunk(
         for sentence, tree_diags in parse_blocks(
             text, Strictness.STRICT, None, first_line, first_index
         ):
-            if tree_diags:  # raised by _in_file_order, in file order
-                records.append((tree_diags, TagResult(
-                    sentence.sent_id, sentence.speaker_role,
-                    sentence.child_age_months, None, None,
-                )))
+            tagged = error = None
+            if not tree_diags:  # else raised by _in_file_order, in file order
+                tagged, error = _tag_or_error(sentence, backend, lexicon)
+            records.append((tree_diags, TagResult(
+                sentence.sent_id, sentence.speaker_role, sentence.child_age_months,
+                tagged, None if error is None else str(error),
+            )))
+            if tree_diags:
                 break
-            records.append((tree_diags, _tag_result(sentence, backend, lexicon)))
     except ConlluFormatError as exc:
         return records, (exc.reason, exc.line)
     return records, None

@@ -409,3 +409,53 @@ def test_token_copy_carries_every_field_and_never_shares_feats():
     for name in names:
         value = values.get(name, "x")
         assert getattr(tok.copy(**{name: value}), name) == value, name
+
+
+# ---------------------------------------------------------------------------
+# Every line a lenient read keeps is written back
+# ---------------------------------------------------------------------------
+
+def _token_line(tid: int, head: int) -> str:
+    return f"{tid}\tw\tw\tNOUN\t_\t_\t{head}\t{'root' if head == 0 else 'dep'}\t_\t_"
+
+
+def _range_line(start: int, end: int) -> str:
+    return f"{start}-{end}\tww\t_\t_\t_\t_\t_\t_\t_\t_"
+
+
+def _lenient_rewrite(lines: list[str]) -> tuple[str, str]:
+    """The written form of a lenient read of one sentence, and its input."""
+    text = "\n".join(["# sent_id = w", *lines]) + "\n\n"
+    tb = read_conllu(text.encode("utf-8"), Strictness.LENIENT)
+    out = io.StringIO()
+    write_conllu(tb, out)
+    assert roundtrip(tb).sentences == tb.sentences
+    return out.getvalue(), text
+
+
+def test_writer_keeps_an_empty_node_whose_anchor_is_no_token():
+    out, text = _lenient_rewrite([
+        _range_line(3, 4), _token_line(3, 0), _token_line(4, 3),
+        "5.1\te\t_\t_\t_\t_\t_\t_\t_\t_",
+    ])
+    assert out == text
+
+
+def test_writer_keeps_a_range_whose_start_is_no_token():
+    out, _ = _lenient_rewrite([
+        _token_line(1, 0), "7.1\te\t_\t_\t_\t_\t_\t_\t_\t_", _range_line(5, 6),
+        _token_line(2, 1),
+    ])
+    # Orphans follow the last token, ranges first, each kind in read order.
+    assert out.splitlines()[1:-1] == [
+        _token_line(1, 0), _token_line(2, 1), _range_line(5, 6),
+        "7.1\te\t_\t_\t_\t_\t_\t_\t_\t_",
+    ]
+
+
+def test_writer_keeps_both_ranges_with_one_start():
+    out, text = _lenient_rewrite([
+        _range_line(1, 2), _range_line(1, 3),
+        _token_line(1, 0), _token_line(2, 1), _token_line(3, 1),
+    ])
+    assert out == text

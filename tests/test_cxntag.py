@@ -399,3 +399,7 @@ def test_punct_parataxis_with_aux_lemma_is_not_a_tag_question():
     )
     assert strip_tag_question(sentence) is sentence
     assert tag_utterance(sentence).label is CxnLabel.COM  # parataxis: rule 5
+
+
+def test_default_lexicon_is_read_once():
+    assert FormulaicLexicon.default() is FormulaicLexicon.default()

@@ -11,12 +11,14 @@ import io
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_conllu
 import synth
+from cait import conllu, cxntag
 from cait.cli import main
 from cait.conllu import ConlluError, Strictness, Treebank, conllu_string, read_conllu
 from cait.cxntag import Backend, FormulaicLexicon, TagResult, tag_conllu, tag_utterance
@@ -201,3 +203,33 @@ def test_tagging_output_does_not_depend_on_jobs(data):
             curves = _run(["case-study", "--input", str(path), "--jobs", jobs])
             results[jobs] = (tag, tsv.read_bytes() if tsv.exists() else None, curves)
     assert results["1"] == results["3"]
+
+
+def test_a_small_input_starts_no_pool(monkeypatch, corpus_path):
+    def no_pool(processes):
+        raise AssertionError(f"a pool of {processes} started")
+
+    monkeypatch.setattr(cxntag, "_pool", no_pool)
+    argv = ["tag-cxn", "--input", str(corpus_path), "--jobs"]
+    assert _run(argv + ["8"]) == _run(argv + ["1"])
+
+
+@settings(max_examples=5)
+@given(conllu_texts(kinds=("valid", "childes")))
+@example(_TAG_ERROR)
+@example(_LATE_DUPLICATE)
+def test_tagging_through_the_pool_does_not_depend_on_jobs(data):
+    # The test above with a chunk floor of one character, so that --jobs 3
+    # starts a pool on every input of two sentence blocks or more.
+    starts = []
+    pool = cxntag._pool
+
+    def counted_pool(processes):
+        starts.append(processes)
+        return pool(processes)
+
+    with mock.patch.object(conllu, "_MIN_CHUNK", 1), \
+            mock.patch.object(cxntag, "_pool", counted_pool):
+        test_tagging_output_does_not_depend_on_jobs.hypothesis.inner_test(data)
+        several = len(conllu.split_chunks(data, 2)) == 2
+    assert bool(starts) == several
