@@ -105,11 +105,7 @@ def emit_curves(
     ordered = sorted(bins, key=lambda b: (b.bin_start_months, b.speaker.value))
     for dist in ordered:
         props = clausal_proportions(dist, include_nonclausal)
-        denominator = sum(
-            count
-            for label, count in dist.counts.items()
-            if include_nonclausal or label not in NONCLAUSAL_LABELS
-        )
+        denominator = sum(dist.counts[label] for label in props)
         for label in sorted(props, key=lambda l: l.value):
             writer.writerow(
                 [

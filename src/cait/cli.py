@@ -75,6 +75,7 @@ def _fmt(value: float | None) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     import json
+    from dataclasses import asdict
 
     from . import evaluation
     from .conllu import Strictness
@@ -82,9 +83,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gold = _read_input(args.gold, Strictness.STRICT)
     pred = _read_input(args.pred, Strictness.STRICT)
     report = evaluation.evaluate_treebanks(gold, pred)
-    per_label = evaluation.per_label_error_rates(
-        gold, pred, min_gold=args.min_gold
-    )
 
     ttest_payload = None
     if args.baseline:
@@ -102,14 +100,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             result = evaluation.paired_ttest(
                 pct(report.per_sentence, attr), pct(base_report.per_sentence, attr)
             )
-            ttest_payload[name] = {
-                "n": result.n,
-                "mean_diff": result.mean_diff,
-                "t_stat": result.t_stat,
-                "p_value": result.p_value,
-                "df": result.df,
-                "degenerate": result.degenerate,
-            }
+            ttest_payload[name] = asdict(result)
 
     if args.json:
         payload = {
@@ -119,11 +110,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "uem": report.uem,
             "upos_acc": report.upos_acc,
             "xpos_acc": report.xpos_acc,
-            "slices": {
-                name: {"las": s.las, "uas": s.uas, "n_sentences": s.n_sentences}
-                for name, s in report.slices.items()
-            },
-            "per_label_error": per_label,
+            "slices": {name: s._asdict() for name, s in report.slices.items()},
+            "per_label_error": report.per_label_error_rates(args.min_gold),
             "ttest": ttest_payload,
         }
         with _output(args.json) as sink:
@@ -146,12 +134,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
 
     if args.tsv:
-        scope = (
-            evaluation.ConfusionScope.LAS_ERRORS
-            if args.confusion == "las"
-            else evaluation.ConfusionScope.LABEL_ONLY
-        )
-        matrix = evaluation.confusion(gold, pred, scope).row_normalized()
+        matrix = report.confusion(
+            evaluation.ConfusionScope(args.confusion)
+        ).row_normalized()
         with _output(args.tsv) as sink:
             evaluation.write_matrix_tsv(matrix.labels, matrix.counts, sink)
     return 0
@@ -295,11 +280,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     label_map = (
         load_label_map(args.label_map) if args.label_map else default_label_map()
     )
-    repaired = Treebank(
-        [normalize(s, label_map) for s in tb.sentences],
-        tb.split,
-        tb.provenance,
-    )
+    repaired = Treebank([normalize(s, label_map) for s in tb.sentences])
     for sentence in repaired.sentences:
         for d in sentence.diagnostics:
             sys.stderr.write(f"{sentence.sent_id}\t{d.code}\t{d.message}\n")
@@ -339,9 +320,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if not isinstance(model, baseline.ParserModel):
         raise _UsageError(f"{args.model} is not a parser model")
     tb = _read_input(args.input, Strictness.LENIENT)
-    parsed = Treebank(
-        [baseline.parse(model, s) for s in tb.sentences], tb.split, tb.provenance
-    )
+    parsed = Treebank([baseline.parse(model, s) for s in tb.sentences])
     # parse's diagnostics are normalize's repairs, then cleanup's attachments.
     normalized = attached = 0
     for sentence in parsed.sentences:
@@ -366,9 +345,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
     if not isinstance(model, baseline.TaggerModel):
         raise _UsageError(f"{args.model} is not a tagger model")
     tb = _read_input(args.input, Strictness.LENIENT)
-    tagged = Treebank(
-        [baseline.tag(model, s) for s in tb.sentences], tb.split, tb.provenance
-    )
+    tagged = Treebank([baseline.tag(model, s) for s in tb.sentences])
     with _output(args.out) as sink:
         write_conllu(tagged, sink)
     return 0
@@ -377,6 +354,17 @@ def cmd_tag(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser wiring
 # ---------------------------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    """An argparse type: a count below 1 is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -394,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--baseline", help="second prediction file for the paired t-test")
-    p.add_argument("--min-gold", type=int, default=100)
+    p.add_argument("--min-gold", type=_positive_int, default=100)
     p.add_argument("--confusion", choices=["label", "las"], default="label")
     p.add_argument("--json")
     p.add_argument("--tsv")
@@ -419,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--backend", choices=["ud", "pos"], default="ud")
     p.add_argument("--lexicon")
-    p.add_argument("--width", type=int, default=3)
+    p.add_argument("--width", type=_positive_int, default=3)
     p.add_argument("--include-nonclausal", action="store_true")
     p.add_argument("--out")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)

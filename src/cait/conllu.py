@@ -19,8 +19,6 @@ from typing import IO, Iterable, Iterator, Mapping
 __all__ = [
     "Strictness",
     "SpeakerRole",
-    "Split",
-    "Provenance",
     "Diagnostic",
     "ConlluError",
     "ConlluFormatError",
@@ -58,19 +56,6 @@ class SpeakerRole(Enum):
     CS = "CS"
     CDS = "CDS"
     OTHER = "OTHER"
-
-
-class Split(Enum):
-    TRAIN = "train"
-    DEV = "dev"
-    TEST = "test"
-    UNSPLIT = "unsplit"
-
-
-class Provenance(Enum):
-    GOLD = "gold"
-    SILVER = "silver"
-    PREDICTED = "predicted"
 
 
 class ConlluError(Exception):
@@ -185,8 +170,6 @@ class Sentence:
 @dataclass
 class Treebank:
     sentences: list[Sentence] = field(default_factory=list)
-    split: Split = Split.UNSPLIT
-    provenance: Provenance = Provenance.GOLD
 
     def __len__(self) -> int:
         return len(self.sentences)

@@ -283,8 +283,10 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     Detected either structurally (a sentence-final parataxis subtree of
     auxiliary + optional negation + pronoun) or by a closed surface list.
     A removed "?" is replaced with sentence-final "." unless the remainder
-    is itself interrogative. Identity when no tag is present; idempotent.
-    The removed surface text is logged as a ``tag-question`` diagnostic.
+    is itself interrogative. Identity when no tag is present. Idempotent
+    on an utterance with one appended tag; of two stacked tags, each call
+    removes the last. The removed surface text is logged as a
+    ``tag-question`` diagnostic.
     """
     view = _View(sentence)
     span = _structural_tag_span(view) or _surface_tag_span(view)

@@ -14,7 +14,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, NamedTuple, Sequence
 
 from .conllu import Sentence, SpeakerRole, Token, Treebank
 
@@ -88,6 +88,16 @@ class SliceScore(NamedTuple):
     n_sentences: int
 
 
+class ErrorScope(Enum):
+    LAS = "las"          # wrong head or wrong label counts as an error
+    LABEL_ONLY = "label"  # only a wrong label counts
+
+
+class ConfusionScope(Enum):
+    LABEL_ONLY = "label"   # every aligned token contributes
+    LAS_ERRORS = "las"     # only LAS-incorrect tokens contribute
+
+
 @dataclass
 class EvalReport:
     las: float
@@ -98,6 +108,22 @@ class EvalReport:
     xpos_acc: float | None = None
     per_sentence: list[SentencePairScore] = field(default_factory=list)
     slices: dict[str, SliceScore] = field(default_factory=dict)
+    # (gold deprel, predicted deprel, head correct) -> aligned tokens
+    deprel_counts: Counter[tuple[str, str, bool]] = field(
+        default_factory=Counter, compare=False, repr=False
+    )
+
+    def per_label_error_rates(
+        self, min_gold: int = 100, scope: ErrorScope = ErrorScope.LAS
+    ) -> dict[str, float]:
+        """``per_label_error_rates`` of the scored treebanks."""
+        return _error_rates(self.deprel_counts, min_gold, scope)
+
+    def confusion(
+        self, scope: ConfusionScope = ConfusionScope.LABEL_ONLY
+    ) -> ConfusionMatrix:
+        """``confusion`` of the scored treebanks."""
+        return _confusion(self.deprel_counts, scope)
 
 
 @dataclass
@@ -136,10 +162,6 @@ def align(gold: Sentence, pred: Sentence) -> _Pairs:
     return pairs
 
 
-def _deprel_for_comparison(deprel: str, universal_only: bool) -> str:
-    return deprel.split(":", 1)[0] if universal_only else deprel
-
-
 def score_sentence(
     gold: Sentence, pred: Sentence, *, universal_deprel_only: bool = False
 ) -> SentencePairScore:
@@ -156,15 +178,14 @@ def _score_pairs(
     gold: Sentence, pairs: _Pairs, universal_deprel_only: bool
 ) -> SentencePairScore:
     n_scored = len(pairs)
-    n_head = 0
-    n_las = 0
+    n_head = n_las = 0
     for g, p in pairs:
         if g.head == p.head:
             n_head += 1
-            if _deprel_for_comparison(
-                g.deprel, universal_deprel_only
-            ) == _deprel_for_comparison(p.deprel, universal_deprel_only):
-                n_las += 1
+            if universal_deprel_only:
+                n_las += g.deprel_base == p.deprel_base
+            else:
+                n_las += g.deprel == p.deprel
     return SentencePairScore(
         sent_id=gold.sent_id,
         n_scored=n_scored,
@@ -220,50 +241,68 @@ def aggregate(scores: Sequence[SentencePairScore]) -> EvalReport:
     )
 
 
-def _aligned(gold: Treebank, pred: Treebank) -> Iterator[tuple[Sentence, _Pairs]]:
-    """Each gold sentence with its aligned token pairs, aligned as they are
-    taken, so that no caller holds the alignments of the whole treebank."""
+class _Tally(NamedTuple):
+    """What one pass over the aligned sentence pairs counts; every
+    treebank-level score is a view of it."""
+
+    scores: list[SentencePairScore]
+    agree: Counter[str]  # tag field -> aligned tokens with equal values
+    predicted: set[str]  # tag fields the prediction fills (not "_") somewhere
+    deprels: Counter[tuple[str, str, bool]]  # (gold, predicted, head correct)
+
+    @property
+    def tokens(self) -> int:
+        return sum(s.n_scored for s in self.scores)
+
+
+def _tally(
+    gold: Treebank, pred: Treebank, universal_deprel_only: bool = False
+) -> _Tally:
+    """Align each sentence pair once, as it is taken, so that no alignment
+    outlives its sentence, and count everything scored on it."""
     if len(gold.sentences) != len(pred.sentences):
         raise AlignmentError(
             "<treebank>",
             0,
             f"sentence counts differ ({len(gold.sentences)} vs {len(pred.sentences)})",
         )
+    tally = _Tally([], Counter(), set(), Counter())
     for gsent, psent in zip(gold.sentences, pred.sentences):
-        yield gsent, align(gsent, psent)
+        pairs = align(gsent, psent)
+        tally.scores.append(_score_pairs(gsent, pairs, universal_deprel_only))
+        tally.agree["upos"] += sum(g.upos == p.upos for g, p in pairs)
+        tally.agree["xpos"] += sum(g.xpos == p.xpos for g, p in pairs)
+        if any(p.upos != "_" for _, p in pairs):
+            tally.predicted.add("upos")
+        if any(p.xpos != "_" for _, p in pairs):
+            tally.predicted.add("xpos")
+        tally.deprels.update((g.deprel, p.deprel, g.head == p.head) for g, p in pairs)
+    return tally
 
 
 def tag_accuracy(gold: Treebank, pred: Treebank, tagfield: str = "upos") -> float:
     """Percentage of aligned tokens whose UPOS (or XPOS) values are equal."""
     if tagfield not in ("upos", "xpos"):
         raise ValueError(f"tagfield must be 'upos' or 'xpos', got {tagfield!r}")
-    total = 0
-    equal = 0
-    for _, pairs in _aligned(gold, pred):
-        total += len(pairs)
-        equal += sum(getattr(g, tagfield) == getattr(p, tagfield) for g, p in pairs)
-    if total == 0:
+    tally = _tally(gold, pred)
+    if tally.tokens == 0:
         raise ValueError("no tokens to score")
-    return 100.0 * equal / total
+    return 100.0 * tally.agree[tagfield] / tally.tokens
 
 
 def evaluate_treebanks(
     gold: Treebank, pred: Treebank, *, universal_deprel_only: bool = False
 ) -> EvalReport:
     """Score every sentence pair and aggregate, adding tag accuracies when
-    the prediction carries any POS annotation."""
-    scores = []
-    total = upos_equal = xpos_equal = 0
-    for gsent, pairs in _aligned(gold, pred):
-        scores.append(_score_pairs(gsent, pairs, universal_deprel_only))
-        total += len(pairs)
-        upos_equal += sum(g.upos == p.upos for g, p in pairs)
-        xpos_equal += sum(g.xpos == p.xpos for g, p in pairs)
-    report = aggregate(scores)  # raises unless total > 0
-    if any(t.upos != "_" for s in pred.sentences for t in s.tokens):
-        report.upos_acc = 100.0 * upos_equal / total
-    if any(t.xpos != "_" for s in pred.sentences for t in s.tokens):
-        report.xpos_acc = 100.0 * xpos_equal / total
+    the prediction carries any POS annotation. The report also carries the
+    deprel counts behind its ``per_label_error_rates`` and ``confusion``."""
+    tally = _tally(gold, pred, universal_deprel_only)
+    report = aggregate(tally.scores)  # raises unless tally.tokens > 0
+    report.deprel_counts = tally.deprels
+    if "upos" in tally.predicted:
+        report.upos_acc = 100.0 * tally.agree["upos"] / tally.tokens
+    if "xpos" in tally.predicted:
+        report.xpos_acc = 100.0 * tally.agree["xpos"] / tally.tokens
     return report
 
 
@@ -356,21 +395,6 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 # Error analysis
 # ---------------------------------------------------------------------------
 
-class ErrorScope(Enum):
-    LAS = "las"          # wrong head or wrong label counts as an error
-    LABEL_ONLY = "label"  # only a wrong label counts
-
-
-def _deprel_counts(gold: Treebank, pred: Treebank) -> Counter[tuple[str, str, bool]]:
-    """Aligned-token counts keyed by (gold deprel, predicted deprel, head
-    correct)."""
-    return Counter(
-        (g.deprel, p.deprel, g.head == p.head)
-        for _, pairs in _aligned(gold, pred)
-        for g, p in pairs
-    )
-
-
 def per_label_error_rates(
     gold: Treebank,
     pred: Treebank,
@@ -381,9 +405,15 @@ def per_label_error_rates(
     labels with fewer than ``min_gold`` gold instances are omitted."""
     if min_gold < 1:
         raise ValueError("min_gold must be >= 1")
+    return _error_rates(_tally(gold, pred).deprels, min_gold, scope)
+
+
+def _error_rates(
+    deprels: Counter[tuple[str, str, bool]], min_gold: int, scope: ErrorScope
+) -> dict[str, float]:
     freq: Counter[str] = Counter()
     errors: Counter[str] = Counter()
-    for (g, p, head_ok), count in _deprel_counts(gold, pred).items():
+    for (g, p, head_ok), count in deprels.items():
         freq[g] += count
         if g != p or (scope is ErrorScope.LAS and not head_ok):
             errors[g] += count
@@ -397,11 +427,6 @@ def per_label_error_rates(
 class Normalization(Enum):
     RAW = "raw"
     ROW_NORMALIZED = "row_normalized"
-
-
-class ConfusionScope(Enum):
-    LABEL_ONLY = "label"   # every aligned token contributes
-    LAS_ERRORS = "las"     # only LAS-incorrect tokens contribute
 
 
 @dataclass
@@ -430,11 +455,17 @@ def confusion(
     gold: Treebank, pred: Treebank, scope: ConfusionScope = ConfusionScope.LABEL_ONLY
 ) -> ConfusionMatrix:
     """Gold-by-predicted deprel counts over aligned tokens."""
+    return _confusion(_tally(gold, pred).deprels, scope)
+
+
+def _confusion(
+    deprels: Counter[tuple[str, str, bool]], scope: ConfusionScope
+) -> ConfusionMatrix:
     import numpy as np
 
     kept = [
         (g, p, count)
-        for (g, p, head_ok), count in _deprel_counts(gold, pred).items()
+        for (g, p, head_ok), count in deprels.items()
         if not (scope is ConfusionScope.LAS_ERRORS and head_ok and g == p)
     ]
     ordered = sorted({label for g, p, _ in kept for label in (g, p)})
@@ -460,9 +491,7 @@ def confusion_delta(a: ConfusionMatrix, b: ConfusionMatrix) -> DeltaMatrix:
     def pad(m: ConfusionMatrix) -> np.ndarray:
         out = np.zeros((len(labels), len(labels)), dtype=float)
         rows = [index[l] for l in m.labels]
-        for i, ri in enumerate(rows):
-            for j, rj in enumerate(rows):
-                out[ri, rj] = m.counts[i, j]
+        out[np.ix_(rows, rows)] = m.counts
         return out
 
     return DeltaMatrix(labels, pad(a) - pad(b))

@@ -108,6 +108,46 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
+def test_eval_min_gold_below_one_is_usage_error(capsys, corpus_path):
+    code, _, err = run(
+        capsys, "eval", "--gold", str(corpus_path), "--pred",
+        str(corpus_path), "--min-gold", "0",
+    )
+    assert code == 2
+    assert "--min-gold: invalid positive int value: '0'" in err
+
+
+def test_eval_aligns_each_pair_once(capsys, monkeypatch, tmp_path, corpus_path):
+    from cait import evaluation
+
+    gold = read_conllu(corpus_path)
+    text = corpus_path.read_text(encoding="utf-8")
+    paths = {}
+    for name in ("pred", "base"):
+        paths[name] = tmp_path / f"{name}.conllu"
+        paths[name].write_text(
+            text.replace("# sent_id = ", f"# sent_id = {name}-"), encoding="utf-8"
+        )
+    aligned = []
+    align = evaluation.align
+
+    def counting_align(g, p):
+        aligned.append((g.sent_id, p.sent_id))
+        return align(g, p)
+
+    monkeypatch.setattr(evaluation, "align", counting_align)
+    code, _, _ = run(
+        capsys, "eval", "--gold", str(corpus_path), "--pred", str(paths["pred"]),
+        "--baseline", str(paths["base"]), "--tsv", str(tmp_path / "conf.tsv"),
+    )
+    assert code == 0
+    assert aligned == [
+        (s.sent_id, f"{name}-{s.sent_id}")
+        for name in ("pred", "base")
+        for s in gold.sentences
+    ]
+
+
 def test_byte_identical_json_across_invocations(capsys, corpus_path):
     _, out_a, _ = run(
         capsys, "eval", "--gold", str(corpus_path), "--pred",
@@ -308,6 +348,14 @@ def test_case_study_curves(capsys, tmp_path):
     )
     lines = out_csv.read_text(encoding="utf-8").strip().split("\n")
     assert any(",FRA," in line for line in lines[1:])
+
+
+def test_case_study_width_below_one_is_usage_error(capsys, corpus_path):
+    code, _, err = run(
+        capsys, "case-study", "--input", str(corpus_path), "--width", "0",
+    )
+    assert code == 2
+    assert "--width: invalid positive int value: '0'" in err
 
 
 # ---------------------------------------------------------------------------

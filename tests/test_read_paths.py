@@ -4,6 +4,8 @@ The block reader must give what the frozen line-by-line reader
 (``reference_conllu``) gives; ``cxntag.tag_conllu``, which parses chunks
 of the raw text, must give what reading the whole file and tagging it
 gives; and ``tag-cxn``/``case-study`` must not depend on ``--jobs``.
+On the same inputs, writing a lenient read and reading it again gives the
+same sentences, and ``normalize`` gives a valid fixed point.
 """
 
 import contextlib
@@ -20,7 +22,16 @@ import reference_conllu
 import synth
 from cait import conllu, cxntag
 from cait.cli import main
-from cait.conllu import ConlluError, Strictness, Treebank, conllu_string, read_conllu
+from cait.conllu import (
+    ConlluError,
+    Strictness,
+    Treebank,
+    conllu_string,
+    default_label_map,
+    normalize,
+    read_conllu,
+    validate,
+)
 from cait.cxntag import Backend, FormulaicLexicon, TagResult, tag_conllu, tag_utterance
 
 _KINDS = ("valid", "valid", "valid", "childes", "malformed", "fuzz")
@@ -233,3 +244,40 @@ def test_tagging_through_the_pool_does_not_depend_on_jobs(data):
         test_tagging_output_does_not_depend_on_jobs.hypothesis.inner_test(data)
         several = len(conllu.split_chunks(data, 2)) == 2
     assert bool(starts) == several
+
+
+# Hand-annotated CHILDES sentences: speaker, age and text comments, ranges.
+_CORPUS = (Path(__file__).parent / "data" / "corpus.conllu").read_bytes()
+
+
+def _lenient(data: bytes) -> Treebank | None:
+    """The lenient read of ``data``; None on a format error, which aborts
+    in both modes."""
+    try:
+        return read_conllu(data, Strictness.LENIENT)
+    except ConlluError:
+        return None
+
+
+@settings(max_examples=150)
+@given(conllu_texts())
+@example(_CORPUS)
+def test_lenient_read_write_read_keeps_the_sentences(data):
+    tb = _lenient(data)
+    if tb is not None:
+        again = read_conllu(conllu_string(tb).encode("utf-8"), Strictness.LENIENT)
+        assert again.sentences == tb.sentences
+
+
+@settings(max_examples=150)
+@given(conllu_texts())
+@example(_CORPUS)
+def test_normalize_gives_a_valid_fixed_point(data):
+    tb = _lenient(data)
+    label_map = default_label_map()
+    for sentence in tb.sentences if tb is not None else ():
+        once = normalize(sentence, label_map)
+        assert validate(once) == []
+        twice = normalize(once, label_map)
+        assert twice == once
+        assert twice.diagnostics == []
