@@ -8,6 +8,11 @@ across ``--jobs`` settings. ``tag-cxn`` and ``case-study`` start worker
 processes only for an input of at least two 64 KiB chunks, and no more
 than ``--jobs`` or the number of chunks; a smaller input is tagged in
 process.
+
+Every command but ``train`` takes its input one sentence at a time and
+keeps only what it prints, rendered to text at once; ``eval`` reads gold
+once per prediction file. Output is written when the whole input has been
+read, so a failed read writes nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from typing import TYPE_CHECKING
 # Each command imports the cait modules it runs, so a process loads only
 # those: `cait --help` and `cait validate` never compile the tagger.
 if TYPE_CHECKING:
-    from .conllu import Strictness, Treebank
+    from collections.abc import Iterator
+
+    from .conllu import Diagnostic, Sentence, Strictness
     from .cxntag import FormulaicLexicon, TagResult
 
 LEXICON_ENV_VAR = "CAIT_LEXICON"
@@ -39,10 +46,14 @@ def _source(path: str):
     return sys.stdin.buffer if path == "-" else Path(path)
 
 
-def _read_input(path: str, strictness: Strictness) -> Treebank:
-    from .conllu import read_conllu
+def _sentences(path: str, strictness: Strictness) -> Iterator[Sentence]:
+    from .conllu import iter_sentences
 
-    return read_conllu(_source(path), strictness)
+    return iter_sentences(_source(path), strictness)
+
+
+def _diagnostic_rows(sentence: Sentence, diags: list[Diagnostic]) -> list[str]:
+    return [f"{sentence.sent_id}\t{d.code}\t{d.message}\n" for d in diags]
 
 
 @contextmanager
@@ -78,16 +89,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from . import evaluation
-    from .conllu import Strictness
+    from .conllu import Strictness, iter_sentences
 
-    gold = _read_input(args.gold, Strictness.STRICT)
-    pred = _read_input(args.pred, Strictness.STRICT)
-    report = evaluation.evaluate_treebanks(gold, pred)
+    # Gold is streamed once per prediction file rather than held; stdin
+    # can be read only once, so its bytes are kept for the second pass.
+    gold = sys.stdin.buffer.read() if args.gold == "-" else Path(args.gold)
+    report = evaluation.evaluate_treebanks(
+        iter_sentences(gold), _sentences(args.pred, Strictness.STRICT)
+    )
 
     ttest_payload = None
     if args.baseline:
-        base = _read_input(args.baseline, Strictness.STRICT)
-        base_report = evaluation.evaluate_treebanks(gold, base)
+        base_report = evaluation.evaluate_treebanks(
+            iter_sentences(gold), _sentences(args.baseline, Strictness.STRICT)
+        )
 
         def pct(scores, attr):
             return [
@@ -219,10 +234,13 @@ def cmd_case_study(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from . import lint
-    from .conllu import Strictness, write_conllu
+    from .conllu import Strictness, sentence_text
 
-    tb = _read_input(args.input, Strictness.STRICT)
-    reports = lint.lint_all(tb)
+    fixed: list[str] = []
+    reports = lint.lint_all(
+        _sentences(args.input, Strictness.STRICT),
+        (lambda sentence: fixed.append(sentence_text(sentence))) if args.fix else None,
+    )
     if args.tsv:
         with _output(args.tsv) as sink:
             sink.write(
@@ -241,10 +259,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 f"\tcandidates {report.n_candidates}\trate {report.rate:.4f}\n"
             )
     if args.fix:
-        findings = [f for report in reports for f in report.findings]
-        fixed = lint.apply_fixes(tb, findings)
         with _output(args.fix) as sink:
-            write_conllu(fixed, sink)
+            sink.writelines(fixed)
     return 0
 
 
@@ -255,37 +271,45 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from .conllu import Strictness, validate
 
-    tb = _read_input(args.input, Strictness.LENIENT)
-    bad = 0
-    for sentence in tb.sentences:
+    rows: list[str] = []
+    n = bad = 0
+    for n, sentence in enumerate(_sentences(args.input, Strictness.LENIENT), 1):
         diags = validate(sentence)
-        for d in diags:
-            sys.stderr.write(f"{sentence.sent_id}\t{d.code}\t{d.message}\n")
+        rows += _diagnostic_rows(sentence, diags)
         bad += bool(diags)
-    sys.stdout.write(f"{len(tb.sentences)} sentences, {bad} with violations\n")
+    sys.stderr.writelines(rows)
+    sys.stdout.write(f"{n} sentences, {bad} with violations\n")
     return 1 if bad else 0
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     from .conllu import (
         Strictness,
-        Treebank,
         default_label_map,
         load_label_map,
         normalize,
-        write_conllu,
+        sentence_text,
     )
 
-    tb = _read_input(args.input, Strictness.LENIENT)
-    label_map = (
-        load_label_map(args.label_map) if args.label_map else default_label_map()
-    )
-    repaired = Treebank([normalize(s, label_map) for s in tb.sentences])
-    for sentence in repaired.sentences:
-        for d in sentence.diagnostics:
-            sys.stderr.write(f"{sentence.sent_id}\t{d.code}\t{d.message}\n")
+    sentences = _sentences(args.input, Strictness.LENIENT)
+    try:
+        label_map = (
+            load_label_map(args.label_map) if args.label_map else default_label_map()
+        )
+    except (OSError, ValueError):
+        # A read error comes first, as when the input was read before the map.
+        for _ in sentences:
+            pass
+        raise
+    rows: list[str] = []
+    repaired: list[str] = []
+    for sentence in sentences:
+        sentence = normalize(sentence, label_map)
+        rows += _diagnostic_rows(sentence, sentence.diagnostics)
+        repaired.append(sentence_text(sentence))
+    sys.stderr.writelines(rows)
     with _output(args.out) as sink:
-        write_conllu(repaired, sink)
+        sink.writelines(repaired)
     return 0
 
 
@@ -295,9 +319,10 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     from . import baseline  # loads numpy
-    from .conllu import Strictness
+    from .conllu import Strictness, read_conllu
 
-    tb = _read_input(args.input, Strictness.STRICT)
+    # Training needs every sentence once per epoch, so the treebank is held.
+    tb = read_conllu(_source(args.input), Strictness.STRICT)
     if args.kind == "parser":
         model = baseline.train_parser(tb, epochs=args.epochs, seed=args.seed)
         log.info(
@@ -314,40 +339,43 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     from . import baseline  # loads numpy
-    from .conllu import Strictness, Treebank, write_conllu
+    from .conllu import Strictness, sentence_text
 
     model = baseline.load_model(args.model)
     if not isinstance(model, baseline.ParserModel):
         raise _UsageError(f"{args.model} is not a parser model")
-    tb = _read_input(args.input, Strictness.LENIENT)
-    parsed = Treebank([baseline.parse(model, s) for s in tb.sentences])
+    parsed: list[str] = []
     # parse's diagnostics are normalize's repairs, then cleanup's attachments.
     normalized = attached = 0
-    for sentence in parsed.sentences:
+    for sentence in _sentences(args.input, Strictness.LENIENT):
+        sentence = baseline.parse(model, sentence)
         cleanup = [d for d in sentence.diagnostics if d.code == "cleanup-attach"]
         normalized += len(sentence.diagnostics) > len(cleanup)
         attached += sum(len(d.token_ids) for d in cleanup)
+        parsed.append(sentence_text(sentence))
     log.info(
         "parsed %d sentences: %d normalized before decoding, "
         "%d tokens attached to the root by cleanup",
-        len(parsed.sentences), normalized, attached,
+        len(parsed), normalized, attached,
     )
     with _output(args.out) as sink:
-        write_conllu(parsed, sink)
+        sink.writelines(parsed)
     return 0
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
     from . import baseline  # loads numpy
-    from .conllu import Strictness, Treebank, write_conllu
+    from .conllu import Strictness, sentence_text
 
     model = baseline.load_model(args.model)
     if not isinstance(model, baseline.TaggerModel):
         raise _UsageError(f"{args.model} is not a tagger model")
-    tb = _read_input(args.input, Strictness.LENIENT)
-    tagged = Treebank([baseline.tag(model, s) for s in tb.sentences])
+    tagged = [
+        sentence_text(baseline.tag(model, s))
+        for s in _sentences(args.input, Strictness.LENIENT)
+    ]
     with _output(args.out) as sink:
-        write_conllu(tagged, sink)
+        sink.writelines(tagged)
     return 0
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "check_in_file_order",
     "write_conllu",
     "conllu_string",
+    "sentence_text",
     "validate",
     "normalize",
     "parse_feats",
@@ -589,14 +590,14 @@ def sentence_lines(sentence: Sentence) -> list[str]:
     return lines + orphans
 
 
+def sentence_text(sentence: Sentence) -> str:
+    """One sentence as CoNLL-U text, ending with the blank line after it."""
+    return "\n".join(sentence_lines(sentence)) + "\n\n"
+
+
 def conllu_string(tb: Treebank) -> str:
     """Serialize a treebank; ends with one blank line after the last sentence."""
-    if not tb.sentences:
-        return ""
-    chunks = []
-    for sentence in tb.sentences:
-        chunks.append("\n".join(sentence_lines(sentence)))
-    return "\n\n".join(chunks) + "\n\n"
+    return "".join(map(sentence_text, tb.sentences))
 
 
 def write_conllu(tb: Treebank, sink: str | Path | IO) -> None:

@@ -14,9 +14,9 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, TYPE_CHECKING, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .conllu import Sentence, SpeakerRole, Token, Treebank
+from .conllu import ConlluError, Sentence, SpeakerRole, Token
 
 if TYPE_CHECKING:
     import numpy as np
@@ -255,20 +255,53 @@ class _Tally(NamedTuple):
         return sum(s.n_scored for s in self.scores)
 
 
+class _Stream:
+    """A sentence iterable, read to its end or to its first read error,
+    which is kept for ``_tally`` to raise in its turn."""
+
+    def __init__(self, sentences: Iterable[Sentence]):
+        self._sentences = iter(sentences)
+        self.count = 0
+        self.error: ConlluError | OSError | None = None
+
+    def __iter__(self) -> Iterator[Sentence]:
+        if self.error is None:
+            try:
+                for sentence in self._sentences:
+                    self.count += 1
+                    yield sentence
+            except (ConlluError, OSError) as exc:
+                self.error = exc
+
+    def drain(self) -> None:
+        for _ in self:
+            pass
+
+
 def _tally(
-    gold: Treebank, pred: Treebank, universal_deprel_only: bool = False
+    gold: Iterable[Sentence],
+    pred: Iterable[Sentence],
+    universal_deprel_only: bool = False,
 ) -> _Tally:
-    """Align each sentence pair once, as it is taken, so that no alignment
-    outlives its sentence, and count everything scored on it."""
-    if len(gold.sentences) != len(pred.sentences):
-        raise AlignmentError(
-            "<treebank>",
-            0,
-            f"sentence counts differ ({len(gold.sentences)} vs {len(pred.sentences)})",
-        )
+    """Take the sentence pairs in lockstep and align each once, as it is
+    taken, so that no sentence or alignment outlives its pair; count
+    everything scored on it.
+
+    On the first error scoring stops, and each input is read to its end or
+    to its own read error. Then the first error in this order is raised: a
+    gold read error, a predicted read error, differing sentence counts, the
+    pair's ``AlignmentError``. The order is that of reading both inputs
+    whole before scoring.
+    """
+    golds, preds = _Stream(gold), _Stream(pred)
     tally = _Tally([], Counter(), set(), Counter())
-    for gsent, psent in zip(gold.sentences, pred.sentences):
-        pairs = align(gsent, psent)
+    pair_error = None
+    for gsent, psent in zip(golds, preds):
+        try:
+            pairs = align(gsent, psent)
+        except AlignmentError as exc:
+            pair_error = exc
+            break
         tally.scores.append(_score_pairs(gsent, pairs, universal_deprel_only))
         tally.agree["upos"] += sum(g.upos == p.upos for g, p in pairs)
         tally.agree["xpos"] += sum(g.xpos == p.xpos for g, p in pairs)
@@ -277,10 +310,25 @@ def _tally(
         if any(p.xpos != "_" for _, p in pairs):
             tally.predicted.add("xpos")
         tally.deprels.update((g.deprel, p.deprel, g.head == p.head) for g, p in pairs)
+    golds.drain()
+    preds.drain()
+    for error in (golds.error, preds.error):
+        if error is not None:
+            raise error
+    if golds.count != preds.count:
+        raise AlignmentError(
+            "<treebank>",
+            0,
+            f"sentence counts differ ({golds.count} vs {preds.count})",
+        )
+    if pair_error is not None:
+        raise pair_error
     return tally
 
 
-def tag_accuracy(gold: Treebank, pred: Treebank, tagfield: str = "upos") -> float:
+def tag_accuracy(
+    gold: Iterable[Sentence], pred: Iterable[Sentence], tagfield: str = "upos"
+) -> float:
     """Percentage of aligned tokens whose UPOS (or XPOS) values are equal."""
     if tagfield not in ("upos", "xpos"):
         raise ValueError(f"tagfield must be 'upos' or 'xpos', got {tagfield!r}")
@@ -291,11 +339,17 @@ def tag_accuracy(gold: Treebank, pred: Treebank, tagfield: str = "upos") -> floa
 
 
 def evaluate_treebanks(
-    gold: Treebank, pred: Treebank, *, universal_deprel_only: bool = False
+    gold: Iterable[Sentence],
+    pred: Iterable[Sentence],
+    *,
+    universal_deprel_only: bool = False,
 ) -> EvalReport:
     """Score every sentence pair and aggregate, adding tag accuracies when
     the prediction carries any POS annotation. The report also carries the
-    deprel counts behind its ``per_label_error_rates`` and ``confusion``."""
+    deprel counts behind its ``per_label_error_rates`` and ``confusion``.
+
+    ``gold`` and ``pred`` are treebanks or any sentence iterables, such as
+    two ``iter_sentences`` streams, which are read in lockstep."""
     tally = _tally(gold, pred, universal_deprel_only)
     report = aggregate(tally.scores)  # raises unless tally.tokens > 0
     report.deprel_counts = tally.deprels
@@ -396,8 +450,8 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 # ---------------------------------------------------------------------------
 
 def per_label_error_rates(
-    gold: Treebank,
-    pred: Treebank,
+    gold: Iterable[Sentence],
+    pred: Iterable[Sentence],
     min_gold: int = 100,
     scope: ErrorScope = ErrorScope.LAS,
 ) -> dict[str, float]:
@@ -452,7 +506,9 @@ class DeltaMatrix:
 
 
 def confusion(
-    gold: Treebank, pred: Treebank, scope: ConfusionScope = ConfusionScope.LABEL_ONLY
+    gold: Iterable[Sentence],
+    pred: Iterable[Sentence],
+    scope: ConfusionScope = ConfusionScope.LABEL_ONLY,
 ) -> ConfusionMatrix:
     """Gold-by-predicted deprel counts over aligned tokens."""
     return _confusion(_tally(gold, pred).deprels, scope)

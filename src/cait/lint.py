@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .conllu import Sentence, Token, Treebank
 
@@ -77,65 +77,101 @@ def _is_nn_premodifier(sentence: Sentence, tok: Token) -> bool:
     )
 
 
-def _lint(
-    tb: Treebank,
-    rule: LintRule,
-    is_candidate: Callable[[Sentence, Token], bool],
+_Candidate = Callable[[Sentence, Token], bool]
+
+
+def _scan(
+    sentence: Sentence,
+    report: LintReport,
+    is_candidate: _Candidate,
     flagged_deprel: str,
-) -> LintReport:
-    """Flag candidates labeled ``flagged_deprel``; candidates already
-    labeled ``_SUGGESTION[rule]`` count towards the rate only."""
-    accepted = _SUGGESTION[rule]
-    report = LintReport(rule)
-    for sentence in tb.sentences:
-        for tok in sentence.tokens:
-            if tok.deprel in (flagged_deprel, accepted) and is_candidate(sentence, tok):
-                report.n_candidates += 1
-                if tok.deprel == flagged_deprel:
-                    report.n_flagged += 1
-                    report.findings.append(
-                        LintFinding(
-                            sentence.sent_id,
-                            tok.id,
-                            rule,
-                            tok.deprel,
-                            accepted,
-                            _context(sentence, tok),
-                        )
+) -> list[LintFinding]:
+    """Add the sentence's candidates to the report: flag those labeled
+    ``flagged_deprel``; those already labeled ``_SUGGESTION[rule]`` count
+    towards the rate only. Returns the sentence's findings."""
+    accepted = _SUGGESTION[report.rule]
+    findings = []
+    for tok in sentence.tokens:
+        if tok.deprel in (flagged_deprel, accepted) and is_candidate(sentence, tok):
+            report.n_candidates += 1
+            if tok.deprel == flagged_deprel:
+                report.n_flagged += 1
+                findings.append(
+                    LintFinding(
+                        sentence.sent_id,
+                        tok.id,
+                        report.rule,
+                        tok.deprel,
+                        accepted,
+                        _context(sentence, tok),
                     )
-    report.findings.sort(key=lambda f: (f.sent_id, f.token_id))
-    return report
+                )
+    report.findings += findings
+    return findings
 
 
-def lint_poss_det(tb: Treebank) -> LintReport:
+_RULES: tuple[tuple[LintRule, _Candidate, str], ...] = (
+    (LintRule.POSS_AS_DET, _is_possessive_pronoun, "det"),
+    (LintRule.NN_AS_NMOD, _is_nn_premodifier, "nmod"),
+)
+
+
+def _lint(
+    sentences: Iterable[Sentence],
+    rules: Sequence[tuple[LintRule, _Candidate, str]],
+    fixed: Callable[[Sentence], object] | None = None,
+) -> list[LintReport]:
+    """One pass over the sentences, one report per rule; each sentence,
+    with its own findings' suggestions applied, goes to ``fixed``."""
+    reports = [LintReport(rule) for rule, _, _ in rules]
+    for sentence in sentences:
+        found = [
+            f
+            for report, (_, is_candidate, flagged_deprel) in zip(reports, rules)
+            for f in _scan(sentence, report, is_candidate, flagged_deprel)
+        ]
+        if fixed is not None:
+            fixed(_fix(sentence, {f.token_id: f.suggested_deprel for f in found}))
+    for report in reports:
+        report.findings.sort(key=lambda f: (f.sent_id, f.token_id))
+    return reports
+
+
+def lint_poss_det(tb: Iterable[Sentence]) -> LintReport:
     """Possessive pronouns (PRON, Poss=Yes) attached as det.
 
     Candidates are all possessive-pronoun prenominal modifiers: the flagged
     tokens plus those already labeled nmod:poss.
     """
-    return _lint(tb, LintRule.POSS_AS_DET, _is_possessive_pronoun, "det")
+    return _lint(tb, _RULES[:1])[0]
 
 
-def lint_nn_nmod(tb: Treebank) -> LintReport:
+def lint_nn_nmod(tb: Iterable[Sentence]) -> LintReport:
     """Noun-premodifying nouns attached as nmod instead of compound."""
-    return _lint(tb, LintRule.NN_AS_NMOD, _is_nn_premodifier, "nmod")
+    return _lint(tb, _RULES[1:])[0]
 
 
-def lint_all(tb: Treebank) -> list[LintReport]:
-    return [lint_poss_det(tb), lint_nn_nmod(tb)]
+def lint_all(
+    tb: Iterable[Sentence], fixed: Callable[[Sentence], object] | None = None
+) -> list[LintReport]:
+    """Both rules' reports from one pass over ``tb``, a treebank or any
+    sentence iterable. With ``fixed``, each sentence is passed to it as soon
+    as it is linted, with its findings' suggestions applied: what
+    ``apply_fixes`` gives for it when sent_ids are unique, as under a
+    strict read."""
+    return _lint(tb, _RULES, fixed)
 
 
-def apply_fixes(tb: Treebank, findings: Sequence[LintFinding]) -> Treebank:
+def _fix(sentence: Sentence, fixes: dict[int, str] | None) -> Sentence:
+    if not fixes:
+        return sentence
+    tokens = [t.copy(deprel=fixes.get(t.id, t.deprel)) for t in sentence.tokens]
+    return replace(sentence, tokens=tokens)
+
+
+def apply_fixes(tb: Iterable[Sentence], findings: Sequence[LintFinding]) -> Treebank:
     """Return a treebank with every finding's suggestion applied."""
     by_sentence: dict[str, dict[int, str]] = {}
     for f in findings:
         by_sentence.setdefault(f.sent_id, {})[f.token_id] = f.suggested_deprel
-    sentences = []
-    for sentence in tb.sentences:
-        fixes = by_sentence.get(sentence.sent_id)
-        if not fixes:
-            sentences.append(sentence)
-            continue
-        tokens = [t.copy(deprel=fixes.get(t.id, t.deprel)) for t in sentence.tokens]
-        sentences.append(replace(sentence, tokens=tokens))
-    return replace(tb, sentences=sentences)
+    return Treebank([_fix(s, by_sentence.get(s.sent_id)) for s in tb])

@@ -100,13 +100,22 @@ def _mutate(lines: list[str], op: str, pos: int) -> list[str]:
         lines.insert(k + 1, "1.1\te\t_\t_\t_\t_\t_\t_\t_\t_")
     elif op == "comment-equals":
         lines.insert(k, "#  Speaker\t=\t chi " if pos % 2 else "# Text=\t hi  ")
+    elif op == "orphan-mwt" and token:
+        # A range whose start is no token id of the sentence.
+        lines.insert(k + 1, "90-91\tzz\t_\t_\t_\t_\t_\t_\t_\t_")
+    elif op == "orphan-empty-node" and token:
+        # An empty node anchored at no token of the sentence.
+        lines.insert(k + 1, "90.1\te\t_\t_\t_\t_\t_\t_\t_\t_")
+    elif op == "comment" and (token or line.startswith("#")):
+        lines.insert(k, "# newpar" if pos % 2 else "# note = a comment")
     return lines
 
 
 _OPS = ("arabic-id", "superscript-id", "bad-head", "blank-upos", "bad-feats", "drop-tab",
         "whitespace-blank", "cr-blank", "extra-blank", "drop-blank",
         "comment-block", "drop-sent-id", "duplicate-sent-id", "mwt",
-        "empty-node", "comment-equals")
+        "empty-node", "comment-equals", "orphan-mwt", "orphan-empty-node",
+        "comment")
 
 
 @st.composite
