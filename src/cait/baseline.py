@@ -309,13 +309,19 @@ def _predict(
 ) -> int:
     """The candidate class with the highest score; the lowest index wins ties.
 
-    Rows are summed in feature order: ``np.add.accumulate`` fixes that
-    order, so float scores, and with them the ties, are reproducible.
+    Rows are summed in feature order, so float scores, and with them the
+    ties, are reproducible: ``np.add.reduce`` along axis 0 of the
+    C-contiguous ``take`` result adds one whole row after another to a
+    running vector. numpy sums pairwise only along a contiguous reduced
+    axis, which a one-column matrix would have; with one column there is
+    one candidate, and it returns before any sum.
     """
+    if len(candidates) == 1:
+        return int(candidates[0])
     idx = [r for r in map(rows.get, features) if r is not None]
     if not idx:
         return int(candidates[0])
-    scores = np.add.accumulate(matrix.take(idx, axis=0), axis=0)[-1]
+    scores = np.add.reduce(matrix.take(idx, axis=0), axis=0)
     return int(candidates[scores.take(candidates).argmax()])
 
 
@@ -439,11 +445,37 @@ class ParserModel:
         return (transitions, *_compile(self.weights, transitions.names))
 
 
+# Features, gold transition and valid candidates of one oracle state.
+_Step = tuple[tuple[str, ...], str, np.ndarray]
+
+
+def _oracle_steps(
+    gold: Sentence, transitions: _Transitions, interned: dict[str, str]
+) -> list[_Step]:
+    """The static oracle's path through ``gold``. Strings go through
+    ``interned``, so equal features held by many steps are stored once."""
+    forms, tags = _parser_columns(gold.tokens)
+    state = ParserState(len(gold.tokens))
+    out = []
+    while not state.buffer_empty():
+        features = _parser_features(state, forms, tags)
+        features = tuple(map(interned.setdefault, features, features))
+        truth = static_oracle(gold, state)
+        out.append(
+            (features, interned.setdefault(truth, truth), transitions.candidates(state))
+        )
+        state.apply(truth)
+    return out
+
+
 def train_parser(tb: Treebank, epochs: int = 5, seed: int = 0) -> ParserModel:
     """Online averaged-perceptron training with a static arc-eager oracle.
 
     Non-projective sentences are skipped and counted; epoch order is
     shuffled by ``seed`` only, so identical seeds give identical models.
+    Training always applies the oracle's transition, so a sentence passes
+    through the same states in every epoch: its steps are computed on its
+    first visit and replayed on later ones.
     """
     sentences = [s for s in tb.sentences if s.tokens]
     if not sentences:
@@ -462,24 +494,21 @@ def train_parser(tb: Treebank, epochs: int = 5, seed: int = 0) -> ParserModel:
     transitions = _Transitions(label_set)
     names = transitions.names
     weights = AveragedWeights(names)
-    columns = [_parser_columns(s.tokens) for s in projective]
+    steps: list[list[_Step] | None] = [None] * len(projective)
+    interned: dict[str, str] = {}
     rng = random.Random(seed)
     order = list(range(len(projective)))
     for _ in range(epochs):
         rng.shuffle(order)
         for idx in order:
-            gold = projective[idx]
-            forms, tags = columns[idx]
-            state = ParserState(len(gold.tokens))
-            while not state.buffer_empty():
-                features = _parser_features(state, forms, tags)
-                truth = static_oracle(gold, state)
-                guess = _predict(
-                    weights.rows, weights.weights, features,
-                    transitions.candidates(state),
+            replay = steps[idx]
+            if replay is None:
+                replay = steps[idx] = _oracle_steps(
+                    projective[idx], transitions, interned
                 )
+            for features, truth, candidates in replay:
+                guess = _predict(weights.rows, weights.weights, features, candidates)
                 weights.update(truth, names[guess], features)
-                state.apply(truth)
     return ParserModel(weights.averaged(), label_set, FEATURE_TEMPLATE_VERSION, skipped)
 
 

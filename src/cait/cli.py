@@ -269,12 +269,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .conllu import Strictness, validate
+    from .conllu import Strictness, _source_text, parse_blocks
 
     rows: list[str] = []
     n = bad = 0
-    for n, sentence in enumerate(_sentences(args.input, Strictness.LENIENT), 1):
-        diags = validate(sentence)
+    # The tree diagnostics of each sentence, as the read computed them;
+    # ``duplicate-sent-id`` is not a tree violation and is not reported.
+    blocks = parse_blocks(_source_text(_source(args.input)), Strictness.LENIENT)
+    for n, (sentence, diags) in enumerate(blocks, 1):
         rows += _diagnostic_rows(sentence, diags)
         bad += bool(diags)
     sys.stderr.writelines(rows)
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon")
     p.add_argument("--gold")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_tag_cxn)
 
     p = sub.add_parser("lint", help="detect annotation inconsistencies")
@@ -438,14 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_positive_int, default=3)
     p.add_argument("--include-nonclausal", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_case_study)
 
     p = sub.add_parser("train", help="train the baseline parser or tagger")
     p.add_argument("--input", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=["parser", "tagger"], default="parser")
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--epochs", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

@@ -154,7 +154,7 @@ def align(gold: Sentence, pred: Sentence) -> _Pairs:
         )
     pairs = []
     for i, (g, p) in enumerate(zip(gold.tokens, pred.tokens), 1):
-        if _norm_form(g.form) != _norm_form(p.form):
+        if g.form != p.form and _norm_form(g.form) != _norm_form(p.form):
             raise AlignmentError(
                 gold.sent_id, i, f"forms differ ({g.form!r} vs {p.form!r})"
             )

@@ -1,0 +1,171 @@
+"""Property tests for parser training and the one scorer.
+
+``train_parser`` computes each sentence's oracle steps on its first visit
+and replays them in later epochs. It must give what the frozen per-epoch
+loop (``reference_baseline``) gives: the same weights to the last bit, label
+set, skip count and model file, and the same exception, raised on the same
+sentence, on generated treebanks with non-projective trees and with
+projective self-loops and cycles that make the oracle fail. The oracle runs
+once per step, on the first visit, and never at zero epochs.
+"""
+
+import io
+import random
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_baseline
+from cait import baseline
+from cait.baseline import is_projective, oracle_sequence, save_model
+from cait.conllu import Treebank
+from helpers import build_sentence
+from synth import childes_treebank, random_valid_sentence
+
+_CHILDES = childes_treebank(40, seed=11).sentences
+_DEPRELS = ("root", "nsubj", "obj", "det", "dep")
+
+
+@st.composite
+def _sentence(draw, sent_id: str):
+    kind = draw(st.sampled_from(("synth", "childes", "heads", "ids")))
+    if kind == "childes":
+        return replace(draw(st.sampled_from(_CHILDES)), sent_id=sent_id)
+    if kind == "heads":
+        # Any head vector: self-loops and cycles included, some projective.
+        n = draw(st.integers(1, 5))
+        heads = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        rows = [
+            (f"w{h}", "_", draw(st.sampled_from(("NOUN", "VERB"))), h,
+             draw(st.sampled_from(_DEPRELS)))
+            for h in heads
+        ]
+        return build_sentence(sent_id, rows)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sentence = random_valid_sentence(rng, sent_id, max_len=draw(st.integers(1, 12)))
+    if kind == "ids":
+        # Rarely: ids shifted off 1..n, which training rejects.
+        if draw(st.integers(0, 3)) == 0:
+            for tok in sentence.tokens:
+                tok.id += 1
+    return sentence
+
+
+@st.composite
+def treebanks(draw) -> Treebank:
+    n = draw(st.integers(0, 8))
+    return Treebank([draw(_sentence(f"s{i}")) for i in range(n)])
+
+
+_STATIC_ORACLE = baseline.static_oracle
+
+
+class _Oracle:
+    """``static_oracle`` that counts its calls and remembers the sentence
+    of the last one (the failing sentence when it raises)."""
+
+    def __init__(self):
+        self.calls = 0
+        self.sent_id = None
+
+    def __call__(self, gold, state):
+        self.calls += 1
+        self.sent_id = gold.sent_id
+        return _STATIC_ORACLE(gold, state)
+
+
+def _train(module, tb: Treebank, epochs: int, seed: int):
+    oracle = _Oracle()
+    with mock.patch.object(module, "static_oracle", oracle):
+        try:
+            model = module.train_parser(tb, epochs=epochs, seed=seed)
+        except Exception as exc:
+            return (type(exc), str(exc), oracle.sent_id), oracle.calls
+    sink = io.StringIO()
+    save_model(model, sink)
+    outcome = (model.weights, model.label_set, model.n_nonprojective_skipped,
+               sink.getvalue())
+    return outcome, oracle.calls
+
+
+def _steps(tb: Treebank) -> int:
+    return sum(
+        len(oracle_sequence(s)) for s in tb.sentences if s.tokens and is_projective(s)
+    )
+
+
+@settings(max_examples=300)
+@given(treebanks(), st.integers(0, 3), st.integers(0, 2**16))
+def test_training_matches_the_reference(tb, epochs, seed):
+    outcome, calls = _train(baseline, tb, epochs, seed)
+    expected, _ = _train(reference_baseline, tb, epochs, seed)
+    assert outcome == expected
+    if epochs == 0:
+        assert calls == 0
+    elif not isinstance(outcome[0], type):
+        assert calls == _steps(tb)
+
+
+def test_the_generated_treebanks_reach_every_outcome():
+    # The strategy must make the oracle fail on projective input, and
+    # also train models and skip non-projective sentences.
+    seen = set()
+
+    @settings(max_examples=100)
+    @given(treebanks())
+    def record(tb):
+        outcome, _ = _train(baseline, tb, 1, 0)
+        if isinstance(outcome[0], type):
+            seen.add(outcome[0].__name__)
+        else:
+            seen.add("trained")
+            if outcome[2]:
+                seen.add("skipped")
+
+    record()
+    assert {"OracleError", "ValueError", "trained", "skipped"} <= seen
+
+
+def test_an_oracle_error_names_the_first_sentence_in_epoch_order():
+    # heads (0, 2, 1): tokens 2 and 3 head each other, without crossing arcs.
+    cyclic = [
+        build_sentence(f"c{i}", [("a", "_", "X", 0, "root"), ("b", "_", "X", 3, "dep"),
+                                 ("c", "_", "X", 2, "dep")])
+        for i in range(6)
+    ]
+    assert all(is_projective(s) for s in cyclic)
+    tb = Treebank(childes_treebank(10, seed=4).sentences + cyclic)
+    for seed in range(5):
+        assert _train(baseline, tb, 2, seed)[0] == _train(reference_baseline, tb, 2, seed)[0]
+
+
+def test_reduce_along_rows_adds_them_in_order():
+    rng = np.random.default_rng(7)
+    order_matters = False
+    for rows in range(1, 65):
+        for cols in (2, 3, 4, 9, 40):
+            m = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-9, 9, (rows, 1))
+            reduced = np.add.reduce(m, axis=0)
+            assert reduced.tobytes() == np.add.accumulate(m, axis=0)[-1].tobytes()
+            order_matters |= reduced.tobytes() != np.add.reduce(m[::-1], axis=0).tobytes()
+    assert order_matters  # the data can tell one summation order from another
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32), st.integers(1, 12), st.integers(0, 30))
+def test_predict_matches_the_reference(seed, n_classes, n_features):
+    rng = np.random.default_rng(seed)
+    # Small integers make ties; wide magnitudes make the summation order count.
+    matrix = rng.integers(-2, 3, (40, n_classes)).astype(float)
+    if seed % 2:
+        matrix *= 10.0 ** rng.integers(-9, 9, (40, 1))
+    rows = {f"f{i}": i for i in range(40)}
+    features = [f"f{i}" for i in rng.choice(50, n_features, replace=False)]
+    k = int(rng.integers(1, n_classes + 1))
+    candidates = np.sort(rng.choice(n_classes, k, replace=False)).astype(np.intp)
+    assert baseline._predict(rows, matrix, features, candidates) == (
+        reference_baseline._predict(rows, matrix, features, candidates)
+    )

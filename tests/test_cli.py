@@ -358,6 +358,27 @@ def test_case_study_width_below_one_is_usage_error(capsys, corpus_path):
     assert "--width: invalid positive int value: '0'" in err
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["train", "--kind", "parser"], "--epochs", "0"),
+    (["train", "--kind", "tagger"], "--epochs", "-1"),
+    (["tag-cxn"], "--jobs", "0"),
+    (["case-study"], "--jobs", "-2"),
+])
+def test_counts_below_one_are_usage_errors(
+    capsys, tmp_path, corpus_path, argv, flag, value
+):
+    model = tmp_path / "m.model"
+    if argv[0] == "train":
+        argv = [*argv, "--model", str(model)]
+    code, out, err = run(capsys, *argv, "--input", str(corpus_path), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"cait {argv[0]}: error: argument {flag}: invalid positive int value: '{value}'"
+    )
+    assert not model.exists()
+
+
 # ---------------------------------------------------------------------------
 # validate / normalize / composition
 # ---------------------------------------------------------------------------
@@ -375,6 +396,21 @@ def test_validate_clean_and_dirty(capsys, tmp_path, corpus_path):
     code, out, err = run(capsys, "validate", "--input", str(bad_path))
     assert code == 1
     assert err.strip()
+
+
+def test_validate_validates_each_sentence_once(capsys, monkeypatch, corpus_path):
+    from cait import conllu
+
+    calls = []
+    real = conllu.validate
+    monkeypatch.setattr(
+        conllu, "validate", lambda sentence: calls.append(sentence) or real(sentence)
+    )
+    code, out, _ = run(capsys, "validate", "--input", str(corpus_path))
+    n = len(calls)
+    assert code == 0
+    assert out == f"{n} sentences, 0 with violations\n"
+    assert n == len(read_conllu(corpus_path).sentences)
 
 
 def test_normalize_output_composes_with_eval_and_tag_cxn(capsys, tmp_path):

@@ -91,6 +91,22 @@ def test_align_nfc_and_whitespace_normalization():
     assert len(align(gold, pred)) == 1
 
 
+def test_align_normalizes_only_forms_that_differ(monkeypatch):
+    from cait import evaluation
+
+    normalized = []
+    real = evaluation._norm_form
+    monkeypatch.setattr(
+        evaluation, "_norm_form", lambda form: normalized.append(form) or real(form)
+    )
+    gold = build_sentence("s", [("the", "the", "DET", 2, "det"),
+                                ("café", "cafe", "NOUN", 0, "root")])
+    pred = build_sentence("s", [("the", "the", "DET", 2, "det"),
+                                ("cafe\u0301", "cafe", "NOUN", 0, "root")])
+    assert len(align(gold, pred)) == 2
+    assert normalized == ["café", "cafe\u0301"]
+
+
 # ---------------------------------------------------------------------------
 # score_sentence
 # ---------------------------------------------------------------------------
