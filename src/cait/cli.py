@@ -13,12 +13,17 @@ Every command but ``train`` takes its input one sentence at a time and
 keeps only what it prints, rendered to text at once; ``eval`` reads gold
 once per prediction file. Output is written when the whole input has been
 read, so a failed read writes nothing.
+
+Each command loads and computes only what it prints. numpy is loaded by
+``train``, ``parse`` and ``tag`` alone: ``eval --tsv`` and ``tag-cxn
+--gold`` count their tables in plain Python, and the ``--baseline`` pass
+keeps only the sentence scores its t-test reads. Every cait log record
+is INFO, so ``logging`` is loaded only for ``--log-level`` info or debug.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from contextlib import contextmanager
@@ -35,7 +40,12 @@ if TYPE_CHECKING:
 
 LEXICON_ENV_VAR = "CAIT_LEXICON"
 
-log = logging.getLogger("cait")
+
+class _NoLog:
+    """``args.log`` below INFO: every cait record is INFO, so none can print."""
+
+    def info(self, *args: object) -> None:
+        pass
 
 
 class _UsageError(Exception):
@@ -91,6 +101,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluation
     from .conllu import Strictness, iter_sentences
 
+    if [args.gold, args.pred, args.baseline].count("-") > 1:
+        raise _UsageError("only one of --gold, --pred and --baseline can be '-'")
     # Gold is streamed once per prediction file rather than held; stdin
     # can be read only once, so its bytes are kept for the second pass.
     gold = sys.stdin.buffer.read() if args.gold == "-" else Path(args.gold)
@@ -100,9 +112,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     ttest_payload = None
     if args.baseline:
-        base_report = evaluation.evaluate_treebanks(
-            iter_sentences(gold), _sentences(args.baseline, Strictness.STRICT)
-        )
+        # The t-test reads only the baseline's sentence scores.
+        base_scores = evaluation._tally(
+            iter_sentences(gold),
+            _sentences(args.baseline, Strictness.STRICT),
+            scores_only=True,
+        ).scores
 
         def pct(scores, attr):
             return [
@@ -113,7 +128,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ttest_payload = {}
         for name, attr in (("las", "n_las_correct"), ("uas", "n_head_correct")):
             result = evaluation.paired_ttest(
-                pct(report.per_sentence, attr), pct(base_report.per_sentence, attr)
+                pct(report.per_sentence, attr), pct(base_scores, attr)
             )
             ttest_payload[name] = asdict(result)
 
@@ -149,11 +164,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
 
     if args.tsv:
-        matrix = report.confusion(
-            evaluation.ConfusionScope(args.confusion)
-        ).row_normalized()
+        # The row-normalized matrix of report.confusion, as plain rows.
+        labels, rows = evaluation._confusion_rows(
+            report.deprel_counts, evaluation.ConfusionScope(args.confusion)
+        )
         with _output(args.tsv) as sink:
-            evaluation.write_matrix_tsv(matrix.labels, matrix.counts, sink)
+            evaluation.write_matrix_tsv(
+                labels, evaluation._row_normalized(rows), sink
+            )
     return 0
 
 
@@ -188,11 +206,11 @@ def cmd_tag_cxn(args: argparse.Namespace) -> int:
             )
 
     if args.gold:
-        from .cxntag import cxn_accuracy, load_gold_labels
+        from .cxntag import _cxn_scores, load_gold_labels
 
         gold = load_gold_labels(args.gold)
         speakers = {r.sent_id: r.speaker_role for r in results}
-        report = cxn_accuracy(tagged, gold, speakers)
+        report = _cxn_scores(tagged, gold, speakers)  # the matrix is not printed
         # With --out the data stream is a file, so the summary can take
         # stdout; otherwise keep stdout clean for the TSV.
         summary = sys.stdout if args.out and args.out != "-" else sys.stderr
@@ -215,7 +233,7 @@ def cmd_case_study(args: argparse.Namespace) -> int:
         if r.tagged is not None
     ]
     binning = casestudy.bin_by_age(labeled, args.width)
-    log.info(
+    args.log.info(
         "binned %d utterances into %d cells; %d unbinned",
         sum(b.n_utterances for b in binning.bins),
         len(binning.bins),
@@ -269,14 +287,23 @@ def cmd_lint(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .conllu import Strictness, _source_text, parse_blocks
+    from .conllu import (
+        Strictness,
+        _source_text,
+        check_in_file_order,
+        parse_blocks,
+    )
 
     rows: list[str] = []
+    seen_ids: set[str] = set()
     n = bad = 0
-    # The tree diagnostics of each sentence, as the read computed them;
-    # ``duplicate-sent-id`` is not a tree violation and is not reported.
+    # Each sentence's tree diagnostics, as the read computed them, then a
+    # repeated sent_id, which every strict command rejects.
     blocks = parse_blocks(_source_text(_source(args.input)), Strictness.LENIENT)
-    for n, (sentence, diags) in enumerate(blocks, 1):
+    for n, (sentence, tree_diags) in enumerate(blocks, 1):
+        diags = tree_diags + check_in_file_order(
+            sentence.sent_id, tree_diags, seen_ids, Strictness.LENIENT
+        )
         rows += _diagnostic_rows(sentence, diags)
         bad += bool(diags)
     sys.stderr.writelines(rows)
@@ -327,14 +354,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     tb = read_conllu(_source(args.input), Strictness.STRICT)
     if args.kind == "parser":
         model = baseline.train_parser(tb, epochs=args.epochs, seed=args.seed)
-        log.info(
+        args.log.info(
             "trained parser on %d sentences (%d non-projective skipped)",
             len(tb.sentences) - model.n_nonprojective_skipped,
             model.n_nonprojective_skipped,
         )
     else:
         model = baseline.train_tagger(tb, epochs=args.epochs, seed=args.seed)
-        log.info("trained tagger on %d sentences", len(tb.sentences))
+        args.log.info("trained tagger on %d sentences", len(tb.sentences))
     baseline.save_model(model, args.model)
     return 0
 
@@ -355,7 +382,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         normalized += len(sentence.diagnostics) > len(cleanup)
         attached += sum(len(d.token_ids) for d in cleanup)
         parsed.append(sentence_text(sentence))
-    log.info(
+    args.log.info(
         "parsed %d sentences: %d normalized before decoding, "
         "%d tokens attached to the root by cleanup",
         len(parsed), normalized, attached,
@@ -406,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="warning",
         choices=["debug", "info", "warning", "error"],
     )
+    # ``main`` puts the "cait" logger in its place at info or debug.
+    parser.set_defaults(log=_NoLog())
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("eval", help="score predictions against gold")
@@ -463,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_tag)
 
-    p = sub.add_parser("validate", help="report tree violations")
+    p = sub.add_parser(
+        "validate", help="report tree violations and repeated sent_ids"
+    )
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_validate)
 
@@ -482,10 +513,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.log_level not in ("debug", "info"):
+        return _run(args)  # no cait record can print: logging is not loaded
+    import logging
+
     # The "cait" logger, not the root one: a host that configured logging
     # first would make logging.basicConfig a no-op and --log-level void.
     # Records stop here, so a host handler on the root does not print them
     # a second time.
+    log = args.log = logging.getLogger("cait")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     saved_level, saved_propagate = log.level, log.propagate

@@ -951,7 +951,9 @@ def _tag_chunk(
 class CxnEvalReport:
     accuracy: float
     per_category: dict[CxnLabel, float]
-    confusion: np.ndarray  # gold x predicted over CXN_LABEL_ORDER
+    # gold x predicted over CXN_LABEL_ORDER: an int64 array from cxn_accuracy,
+    # plain rows from the numpy-free count that `tag-cxn --gold` prints from
+    confusion: np.ndarray | list[list[int]]
     by_speaker: dict[str, float] = field(default_factory=dict)
     n: int = 0
 
@@ -983,17 +985,29 @@ def cxn_accuracy(
     and (when speaker roles are supplied) CS/CDS split accuracies."""
     import numpy as np
 
+    report = _cxn_scores(pred, gold, speakers)
+    report.confusion = np.array(report.confusion, dtype=np.int64)
+    return report
+
+
+def _cxn_scores(
+    pred: Sequence[TaggedUtterance],
+    gold: Mapping[str, CxnLabel],
+    speakers: Mapping[str, SpeakerRole] | None = None,
+) -> CxnEvalReport:
+    """``cxn_accuracy`` counted in plain Python: the same scores and errors,
+    with the confusion matrix as a list of rows."""
     if not pred:
         raise ValueError("no predictions to score")
     index = {label: i for i, label in enumerate(CXN_LABEL_ORDER)}
-    confusion_counts = np.zeros((len(index), len(index)), dtype=np.int64)
+    rows = [[0] * len(index) for _ in index]
     correct = 0
     speaker_totals: dict[str, list[int]] = {}
     for item in pred:
         if item.sent_id not in gold:
             raise KeyError(f"sent_id {item.sent_id!r} missing from gold labels")
         g = gold[item.sent_id]
-        confusion_counts[index[g], index[item.label]] += 1
+        rows[index[g]][index[item.label]] += 1
         hit = g is item.label
         correct += hit
         if speakers is not None and item.sent_id in speakers:
@@ -1002,11 +1016,11 @@ def cxn_accuracy(
                 totals = speaker_totals.setdefault(role.value, [0, 0])
                 totals[0] += hit
                 totals[1] += 1
-    per_category = {}
-    for label, i in index.items():
-        row = confusion_counts[i].sum()
-        if row:
-            per_category[label] = 100.0 * confusion_counts[i, i] / row
+    per_category = {
+        label: 100.0 * rows[i][i] / n_gold
+        for label, i in index.items()
+        if (n_gold := sum(rows[i]))
+    }
     by_speaker = {
         role: 100.0 * hits / total
         for role, (hits, total) in sorted(speaker_totals.items())
@@ -1014,7 +1028,7 @@ def cxn_accuracy(
     return CxnEvalReport(
         accuracy=100.0 * correct / len(pred),
         per_category=per_category,
-        confusion=confusion_counts,
+        confusion=rows,
         by_speaker=by_speaker,
         n=len(pred),
     )

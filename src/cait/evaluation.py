@@ -282,10 +282,12 @@ def _tally(
     gold: Iterable[Sentence],
     pred: Iterable[Sentence],
     universal_deprel_only: bool = False,
+    scores_only: bool = False,
 ) -> _Tally:
     """Take the sentence pairs in lockstep and align each once, as it is
     taken, so that no sentence or alignment outlives its pair; count
-    everything scored on it.
+    everything scored on it, or with ``scores_only`` only the sentence
+    scores.
 
     On the first error scoring stops, and each input is read to its end or
     to its own read error. Then the first error in this order is raised: a
@@ -303,6 +305,8 @@ def _tally(
             pair_error = exc
             break
         tally.scores.append(_score_pairs(gsent, pairs, universal_deprel_only))
+        if scores_only:
+            continue
         tally.agree["upos"] += sum(g.upos == p.upos for g, p in pairs)
         tally.agree["xpos"] += sum(g.xpos == p.xpos for g, p in pairs)
         if any(p.upos != "_" for _, p in pairs):
@@ -492,10 +496,8 @@ class ConfusionMatrix:
     def row_normalized(self) -> "ConfusionMatrix":
         import numpy as np
 
-        counts = self.counts.astype(float)
-        sums = counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            norm = np.where(sums > 0, counts / sums, 0.0)
+        rows = _row_normalized(self.counts.tolist())
+        norm = np.array(rows, dtype=float).reshape(self.counts.shape)
         return ConfusionMatrix(list(self.labels), norm, Normalization.ROW_NORMALIZED)
 
 
@@ -519,17 +521,34 @@ def _confusion(
 ) -> ConfusionMatrix:
     import numpy as np
 
+    labels, rows = _confusion_rows(deprels, scope)
+    counts = np.array(rows, dtype=np.int64).reshape(len(labels), len(labels))
+    return ConfusionMatrix(labels, counts)
+
+
+def _confusion_rows(
+    deprels: Counter[tuple[str, str, bool]], scope: ConfusionScope
+) -> tuple[list[str], list[list[int]]]:
+    """The sorted labels and the gold-by-predicted counts as plain rows."""
     kept = [
         (g, p, count)
         for (g, p, head_ok), count in deprels.items()
         if not (scope is ConfusionScope.LAS_ERRORS and head_ok and g == p)
     ]
-    ordered = sorted({label for g, p, _ in kept for label in (g, p)})
-    index = {label: i for i, label in enumerate(ordered)}
-    counts = np.zeros((len(ordered), len(ordered)), dtype=np.int64)
+    labels = sorted({label for g, p, _ in kept for label in (g, p)})
+    index = {label: i for i, label in enumerate(labels)}
+    rows = [[0] * len(labels) for _ in labels]
     for g, p, count in kept:
-        counts[index[g], index[p]] += count
-    return ConfusionMatrix(ordered, counts)
+        rows[index[g]][index[p]] += count
+    return labels, rows
+
+
+def _row_normalized(rows: list[list[int]]) -> list[list[float]]:
+    """Each row of counts over its sum, a row summing to 0 as zeros."""
+    return [
+        [count / total for count in row] if (total := sum(row)) else [0.0] * len(row)
+        for row in rows
+    ]
 
 
 def confusion_delta(a: ConfusionMatrix, b: ConfusionMatrix) -> DeltaMatrix:
@@ -554,17 +573,26 @@ def confusion_delta(a: ConfusionMatrix, b: ConfusionMatrix) -> DeltaMatrix:
 
 
 def write_matrix_tsv(
-    labels: Sequence[str], values: np.ndarray, sink: IO, digits: int = 4
+    labels: Sequence[str],
+    values: np.ndarray | Sequence[Sequence[float]],
+    sink: IO,
+    digits: int = 4,
 ) -> None:
-    """TSV with a header row/column of labels; cells with fixed decimals."""
-    import numpy as np
+    """TSV with a header row/column of labels; cells with fixed decimals,
+    or as integers for an integer array or plain rows of ``int``s."""
+    dtype = getattr(values, "dtype", None)
+    if dtype is None:
+        integral = all(type(v) is int for row in values for v in row)
+    else:
+        import numpy as np  # loaded already: ``values`` is an array
 
+        integral = np.issubdtype(dtype, np.integer)
     sink.write("\t" + "\t".join(labels) + "\n")
     for i, label in enumerate(labels):
         row = values[i]
         cells = (
             [str(int(v)) for v in row]
-            if np.issubdtype(values.dtype, np.integer)
+            if integral
             else [f"{v:.{digits}f}" for v in row]
         )
         sink.write(label + "\t" + "\t".join(cells) + "\n")

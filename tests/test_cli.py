@@ -87,6 +87,21 @@ def test_eval_confusion_tsv(capsys, tmp_path, corpus_path):
     assert first_row[1] == "1.0000"
 
 
+@pytest.mark.parametrize(
+    "flags", [("--gold", "--pred"), ("--pred", "--baseline"), ("--gold", "--baseline")]
+)
+def test_eval_two_stdin_inputs_is_usage_error(capsys, monkeypatch, corpus_path, flags):
+    stdin = io.TextIOWrapper(io.BytesIO(corpus_path.read_bytes()))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    paths = {"--gold": str(corpus_path), "--pred": str(corpus_path)}
+    paths.update(dict.fromkeys(flags, "-"))
+    code, out, err = run(capsys, "eval", *[a for item in paths.items() for a in item])
+    assert code == 2
+    assert out == ""
+    assert err == "error: only one of --gold, --pred and --baseline can be '-'\n"
+    assert stdin.buffer.read() == corpus_path.read_bytes()  # stdin left unread
+
+
 def test_eval_missing_file_is_data_error(capsys, corpus_path):
     code, _, err = run(
         capsys, "eval", "--gold", str(corpus_path), "--pred", "/nope.conllu",
@@ -396,6 +411,20 @@ def test_validate_clean_and_dirty(capsys, tmp_path, corpus_path):
     code, out, err = run(capsys, "validate", "--input", str(bad_path))
     assert code == 1
     assert err.strip()
+
+
+def test_validate_reports_a_repeated_sent_id(capsys, tmp_path):
+    block = "# sent_id = a\n1\thi\thi\tINTJ\t_\t_\t0\troot\t_\t_\n\n"
+    path = tmp_path / "dup.conllu"
+    path.write_text(block + block, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert code == 1
+    assert out == "2 sentences, 1 with violations\n"
+    assert err == "a\tduplicate-sent-id\tduplicate sent_id 'a'\n"
+    # The strict commands reject the same file.
+    code, _, err = run(capsys, "lint", "--input", str(path))
+    assert code == 1
+    assert err == "error: sentence a: duplicate sent_id 'a'\n"
 
 
 def test_validate_validates_each_sentence_once(capsys, monkeypatch, corpus_path):

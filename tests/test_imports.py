@@ -1,0 +1,87 @@
+"""Which of numpy, logging and multiprocessing each command loads.
+
+Each row launches ``python -m cait.cli`` with its arguments in a new
+process and records the watched modules in ``sys.modules`` at exit. numpy
+is for the baseline's weight arrays, logging only for ``--log-level info``
+or ``debug``, multiprocessing only for a ``--jobs`` pool that has at least
+two chunks to share.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cait
+from cait.cli import main
+from cait.conllu import write_conllu
+from synth import childes_treebank
+
+WATCHED = ("logging", "multiprocessing", "numpy")
+
+RECORDER = (
+    "import runpy, sys\n"
+    "record = sys.argv.pop(1)\n"
+    "try:\n"
+    "    runpy.run_module('cait.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    f"    loaded = [m for m in {WATCHED!r} if m in sys.modules]\n"
+    "    with open(record, 'w') as f:\n"
+    "        f.write(' '.join(loaded))\n"
+)
+
+# (command line, with {corpus}, {big}, {labels}, {parser}, {tagger} and
+# {out} filled in; exit code; the watched modules it loads)
+ROWS = [
+    ("--help", 0, ""),
+    ("validate --input {corpus}", 0, ""),
+    ("normalize --input {corpus} --out {out}", 0, ""),
+    ("lint --input {corpus} --tsv {out} --fix {out}", 0, ""),
+    ("tag-cxn --input {corpus} --jobs 2", 0, ""),
+    ("tag-cxn --input {corpus} --jobs 2 --gold {labels}", 0, ""),
+    ("tag-cxn --input {big} --jobs 2 --out {out}", 0, "multiprocessing"),
+    ("case-study --input {corpus} --jobs 2", 0, ""),
+    ("eval --gold {corpus} --pred {corpus}", 0, ""),
+    ("eval --gold {corpus} --pred {corpus} --tsv {out}", 0, ""),
+    ("eval --gold {corpus} --pred {corpus} --baseline {corpus} --json {out}", 0, ""),
+    ("train --input {corpus} --model {out} --epochs 1", 0, "numpy"),
+    ("parse --input {corpus} --model {parser}", 0, "numpy"),
+    ("tag --input {corpus} --model {tagger}", 0, "numpy"),
+    ("--log-level info parse --input {corpus} --model {parser}", 0, "logging numpy"),
+    ("--log-level info case-study --input {corpus} --jobs 1", 0, "logging"),
+]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    corpus = Path(__file__).parent / "data" / "corpus.conllu"
+    big = tmp / "big.conllu"  # two 64 KiB chunks or more
+    write_conllu(childes_treebank(1500, seed=5), big)
+    labels = tmp / "labels.tsv"
+    labels.write_text("".join(
+        line.split(" = ")[1] + "\tX\n"
+        for line in corpus.read_text(encoding="utf-8").splitlines()
+        if line.startswith("# sent_id = ")
+    ), encoding="utf-8")
+    models = {}
+    for kind in ("parser", "tagger"):
+        models[kind] = tmp / f"{kind}.model"
+        assert main(["train", "--input", str(corpus), "--model",
+                     str(models[kind]), "--kind", kind, "--epochs", "1"]) == 0
+    return dict(corpus=corpus, big=big, labels=labels, out=tmp / "out", **models)
+
+
+@pytest.mark.parametrize("command, code, loaded", ROWS, ids=[r[0] for r in ROWS])
+def test_each_command_loads_only_what_it_uses(tmp_path, files, command, code, loaded):
+    record = tmp_path / "loaded.txt"
+    argv = command.format(**{k: str(v) for k, v in files.items()}).split()
+    env = dict(os.environ, PYTHONPATH=str(Path(cait.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", RECORDER, str(record), *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == code, result.stderr
+    assert record.read_text(encoding="utf-8") == loaded
