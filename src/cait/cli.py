@@ -3,11 +3,9 @@
 Exit codes: 0 success, 1 data or validation errors (diagnostics go to
 stderr), 2 usage errors. Analytic output goes to stdout or to ``--out``
 paths; logs never mix into data streams. "-" means stdin/stdout.
-Identical invocations on identical inputs are byte-identical, including
-across ``--jobs`` settings. ``tag-cxn`` and ``case-study`` start worker
-processes only for an input of at least two 64 KiB chunks, and no more
-than ``--jobs`` or the number of chunks; a smaller input is tagged in
-process.
+Identical invocations on identical inputs are byte-identical. Every
+command runs in one process: ``tag-cxn`` and ``case-study`` still accept
+``--jobs``, which has no effect.
 
 Every command but ``train`` takes its input one sentence at a time and
 keeps only what it prints, rendered to text at once; ``eval`` reads gold
@@ -184,7 +182,7 @@ def _tag_input(args: argparse.Namespace) -> list[TagResult]:
 
     lexicon = _load_lexicon(args.lexicon)
     backend = Backend.UD_RULES if args.backend == "ud" else Backend.POS_RULES
-    return tag_conllu(_source(args.input), backend, lexicon, args.jobs)
+    return tag_conllu(_source(args.input), backend, lexicon)
 
 
 def _write_errors(results: list[TagResult]) -> int:
@@ -453,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon")
     p.add_argument("--gold")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_tag_cxn)
 
     p = sub.add_parser("lint", help="detect annotation inconsistencies")
@@ -469,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_positive_int, default=3)
     p.add_argument("--include-nonclausal", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_case_study)
 
     p = sub.add_parser("train", help="train the baseline parser or tagger")

@@ -31,7 +31,6 @@ __all__ = [
     "read_conllu",
     "iter_sentences",
     "parse_blocks",
-    "split_chunks",
     "check_in_file_order",
     "write_conllu",
     "conllu_string",
@@ -244,6 +243,14 @@ def parse_chat_age(value: str) -> float | None:
     return age if age >= 0 else None
 
 
+def _metadata_item(comment: str) -> tuple[str, str]:
+    """The lower-cased key and the value of a ``# key = value`` comment; the
+    key is "" without a ``=``."""
+    # The match of ^#\s*([^=]+?)\s*=\s*(.*)$ for every key the reader names.
+    key, sep, value = comment[1:].partition("=")
+    return (key.strip().lower() if sep else ""), value.lstrip()
+
+
 def _extract_metadata(
     comments: list[str], role_map: Mapping[str, SpeakerRole]
 ) -> tuple[str | None, str | None, SpeakerRole, float | None, list[Diagnostic]]:
@@ -253,7 +260,7 @@ def _extract_metadata(
     age: float | None = None
     diags: list[Diagnostic] = []
     for line in comments:
-        # The match of ^#\s*([^=]+?)\s*=\s*(.*)$ for every key named below.
+        # _metadata_item(line), inlined: this runs for every comment read.
         key, sep, value = line[1:].partition("=")
         if not sep:
             continue
@@ -376,56 +383,16 @@ def check_in_file_order(
     return extra
 
 
-# The newline that ends a non-blank line, then the blank lines after it.
-_BLOCK_END = re.compile(r"\n(?:\r*\n)+")
-_BLANK_LINES = re.compile(r"(?:\r*\n)*")
-
-
-# Less text is not worth a worker process: tagging 64 KiB of CHILDES-style
-# CoNLL-U takes about as long as starting a worker (14 ms against 18 ms for
-# two workers on two chunks, 2 vCPUs), and two workers break even at 128 KiB.
-_MIN_CHUNK = 64 * 1024  # characters
-
-
-def split_chunks(
-    source: str | Path | bytes | IO, n: int
-) -> list[tuple[str, int, int]]:
-    """Cut a CoNLL-U source into at most ``n`` contiguous chunks of text,
-    and into fewer when that leaves each under ``_MIN_CHUNK`` characters.
-
-    Each chunk starts with a non-blank line and, except the last, ends with
-    the blank lines that close its last sentence block. So ``parse_blocks``
-    on a chunk, given its first line number and first sentence index, finds
-    exactly the blocks the whole-text reader finds there. Returns (text,
-    first line, first index) per chunk.
-    """
-    text = _source_text(source)
-    n = min(n, len(text) // _MIN_CHUNK)
-    start = _BLANK_LINES.match(text).end()
-    line, index = 1 + text.count("\n", 0, start), 1
-    chunks = []
-    for k in range(1, n):
-        m = _BLOCK_END.search(text, max(start, len(text) * k // n))
-        if m is None:
-            break
-        chunks.append((text[start:m.end()], line, index))
-        line += text.count("\n", start, m.end())
-        index += len(_BLOCK_END.findall(text, start, m.end()))
-        start = m.end()
-    chunks.append((text[start:], line, index))
-    return chunks
-
-
 # A sentence block: a run of lines that hold something besides CRs.
 _BLOCK = re.compile(r"\r*[^\r\n][^\n]*(?:\n\r*[^\r\n][^\n]*)*")
 
 
-def _blocks(text: str, first_line: int) -> Iterator[tuple[int, int, list[str]]]:
+def _blocks(text: str) -> Iterator[tuple[int, int, list[str]]]:
     """Yield (first line, closing line, lines) per sentence block, trailing
     CRs removed. The closing line is the blank line after the block, or the
     block's first line when the text ends inside it."""
     has_cr = "\r" in text
-    line, pos = first_line, 0
+    line, pos = 1, 0
     for m in _BLOCK.finditer(text):
         line += text.count("\n", pos, m.start())
         pos = m.end()
@@ -441,21 +408,17 @@ def parse_blocks(
     text: str,
     strictness: Strictness = Strictness.STRICT,
     role_map: Mapping[str, SpeakerRole] | None = None,
-    first_line: int = 1,
-    first_index: int = 1,
 ) -> Iterator[tuple[Sentence, list[Diagnostic]]]:
     """Parse each sentence block of ``text`` on its own.
 
     Yields every sentence with its tree diagnostics, which are not raised:
     that, and ``duplicate-sent-id``, is ``check_in_file_order``'s job.
-    Raises ``ConlluFormatError`` naming the line. A block without a
-    ``sent_id`` is named ``s{k}``, k counting blocks from ``first_index``.
+    Raises ``ConlluFormatError`` naming the line. The k-th block, if it has
+    no ``sent_id``, is named ``s{k}``.
     """
     strict = strictness is Strictness.STRICT
     roles = DEFAULT_ROLE_MAP if role_map is None else role_map
-    for index, (line_no, end_line, lines) in enumerate(
-        _blocks(text, first_line), first_index
-    ):
+    for index, (line_no, end_line, lines) in enumerate(_blocks(text), 1):
         yield _parse_block(lines, line_no, end_line, index, strict, roles)
 
 
@@ -961,21 +924,22 @@ def _shallowest_cycle_free(toks: list[Token]) -> Token:
 # Label maps
 # ---------------------------------------------------------------------------
 
-def _parse_label_map(text: str) -> dict[str, str]:
+def _parse_label_map(text: str, source: object) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for _, line in table_lines(text.splitlines()):
-        src, _, dst = line.partition("\t")
-        if dst:
-            mapping[src.strip()] = dst.strip()
+    for line_no, line in table_lines(text.splitlines()):
+        src, tab, dst = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{source}: line {line_no}: no tab in row {line!r}")
+        mapping[src.strip()] = dst.strip()
     return mapping
 
 
 def load_label_map(source: str | Path) -> dict[str, str]:
     """Load a two-column TSV (source_label TAB ud_label) deprel map."""
-    return _parse_label_map(Path(source).read_text(encoding="utf-8"))
+    return _parse_label_map(Path(source).read_text(encoding="utf-8"), source)
 
 
 def default_label_map() -> dict[str, str]:
     """The packaged ClearNLP-style to UD v2 deprel correspondence."""
     data = resources.files("cait").joinpath("data/deprel_map_clearnlp.tsv")
-    return _parse_label_map(data.read_text(encoding="utf-8"))
+    return _parse_label_map(data.read_text(encoding="utf-8"), data)

@@ -13,23 +13,21 @@ import itertools
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .conllu import (
-    ConlluFormatError,
     Diagnostic,
     Sentence,
     SpeakerRole,
     Strictness,
     Token,
     Treebank,
-    check_in_file_order,
+    _metadata_item,
     detokenize,
-    parse_blocks,
-    split_chunks,
+    iter_sentences,
     table_lines,
 )
 
@@ -130,6 +128,9 @@ SUBJECT_RELATIONS = frozenset(["nsubj", "csubj"])
 _TERMINAL_PUNCT = " \t.,!?;:…\"»«()[]"
 
 
+# CHILDES utterances, and the one- to three-token tails that tag-question
+# detection looks up, repeat heavily.
+@lru_cache(maxsize=4096)
 def normalize_utterance(text: str) -> str:
     """Case-fold, strip terminal punctuation, collapse whitespace and close
     up tokenized contractions ("do n't" -> "don't", "you 're" -> "you're")."""
@@ -348,7 +349,7 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     new_text = detokenize(out)
     out.text = new_text
     out.comments = [
-        f"# text = {new_text}" if re.match(r"^#\s*text\s*=", c) else c
+        f"# text = {new_text}" if _metadata_item(c)[0] == "text" else c
         for c in out.comments
     ]
     return out
@@ -357,6 +358,23 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
 # ---------------------------------------------------------------------------
 # Sentence view and shared rule helpers
 # ---------------------------------------------------------------------------
+
+class _cached:
+    """``functools.cached_property`` without its lock, which Python 3.11
+    takes on the first read of every new instance: the value is computed on
+    first read and stored in the instance ``__dict__``, which later reads
+    find before this descriptor."""
+
+    def __init__(self, func: Callable):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
 
 class _View:
     """One sentence as tag-question stripping and both decision lists read
@@ -368,16 +386,16 @@ class _View:
         self.tokens = sentence.tokens
         self.content = [t for t in self.tokens if t.upos != "PUNCT"]
 
-    @cached_property
+    @_cached
     def root(self) -> Token | None:
         return self.sentence.root()
 
-    @cached_property
+    @_cached
     def by_id(self) -> dict[int, Token]:
         # The last token of a duplicate id wins.
         return {t.id: t for t in self.tokens}
 
-    @cached_property
+    @_cached
     def children(self) -> dict[int, list[tuple[Token, str]]]:
         """(token, deprel base) pairs by head id, each list in token order."""
         children: dict[int, list[tuple[Token, str]]] = {}
@@ -385,7 +403,7 @@ class _View:
             children.setdefault(tok.head, []).append((tok, tok.deprel_base))
         return children
 
-    @cached_property
+    @_cached
     def first_core(self) -> Token | None:
         """The first content token outside discourse and vocative subtrees."""
         peripheral: set[int] = set()
@@ -859,92 +877,27 @@ class TagResult(NamedTuple):
     error: str | None
 
 
-# More chunks than workers, so that a worker that finishes early takes more.
-_CHUNKS_PER_JOB = 8
-
-
 def tag_conllu(
     source: str | Path | bytes | IO,
     backend: Backend = Backend.UD_RULES,
     lexicon: FormulaicLexicon | None = None,
-    jobs: int = 1,
 ) -> list[TagResult]:
-    """Read CoNLL-U strictly and tag every sentence; results in file order.
+    """Read CoNLL-U strictly and tag every sentence, in one process; results
+    in file order.
 
     Read errors are raised exactly as ``read_conllu`` raises them, and
-    before anything is returned. With ``jobs`` > 1, up to ``jobs`` worker
-    processes parse and tag contiguous chunks of the raw text; a text that
-    ``split_chunks`` leaves in one chunk is tagged in process. The results,
-    and the read error raised, do not depend on ``jobs``.
+    before anything is returned. A sentence that fails to tag gets the
+    message of its error in place of a tag.
     """
     lexicon = lexicon or FormulaicLexicon.default()
-    tasks = [
-        (text, first_line, first_index, backend, lexicon)
-        for text, first_line, first_index in split_chunks(
-            source, 1 if jobs <= 1 else jobs * _CHUNKS_PER_JOB
-        )
-    ]
-    if len(tasks) == 1:
-        return _in_file_order(map(_tag_chunk, tasks))
-    # Take every result before the pool shuts down: terminating workers while
-    # results are pending can leave the result queue locked and hang the exit.
-    with _pool(min(jobs, len(tasks))) as pool:
-        parts = list(pool.imap(_tag_chunk, tasks))
-    return _in_file_order(parts)
-
-
-def _in_file_order(parts: Iterable[tuple]) -> list[TagResult]:
-    """Collect the chunks' results in file order, raising the first read
-    error exactly where the whole-file reader would."""
     results: list[TagResult] = []
-    seen_ids: set[str] = set()
-    for records, format_error in parts:
-        for tree_diags, result in records:
-            check_in_file_order(result.sent_id, tree_diags, seen_ids, Strictness.STRICT)
-            results.append(result)
-        if format_error is not None:
-            raise ConlluFormatError(*format_error)
+    for sentence in iter_sentences(source, Strictness.STRICT):
+        tagged, error = _tag_or_error(sentence, backend, lexicon)
+        results.append(TagResult(
+            sentence.sent_id, sentence.speaker_role, sentence.child_age_months,
+            tagged, None if error is None else str(error),
+        ))
     return results
-
-
-def _pool(processes: int):
-    import multiprocessing
-
-    # fork starts workers about twice as fast as spawn. It is safe here: the
-    # command line starts no threads, and every task carries its own state.
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if fork else None).Pool(processes)
-
-
-def _tag_chunk(
-    task: tuple[str, int, int, Backend, FormulaicLexicon],
-) -> tuple[list[tuple[list[Diagnostic], TagResult]], tuple[str, int] | None]:
-    """Parse and tag one chunk of ``split_chunks``, given with its first
-    line number and sentence index, the backend and the lexicon.
-
-    Returns each sentence's tree diagnostics and result, and the (reason,
-    line) of a format error, as data, because ``ConlluFormatError`` does not
-    survive pickling. Stops at the first sentence a strict read rejects on
-    its own; that sentence is not tagged.
-    """
-    text, first_line, first_index, backend, lexicon = task
-    records = []
-    try:
-        for sentence, tree_diags in parse_blocks(
-            text, Strictness.STRICT, None, first_line, first_index
-        ):
-            tagged = error = None
-            if not tree_diags:  # else raised by _in_file_order, in file order
-                tagged, error = _tag_or_error(sentence, backend, lexicon)
-            records.append((tree_diags, TagResult(
-                sentence.sent_id, sentence.speaker_role, sentence.child_age_months,
-                tagged, None if error is None else str(error),
-            )))
-            if tree_diags:
-                break
-    except ConlluFormatError as exc:
-        return records, (exc.reason, exc.line)
-    return records, None
 
 
 @dataclass

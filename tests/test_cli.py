@@ -483,6 +483,25 @@ def test_normalize_applies_default_label_map(capsys, tmp_path):
     assert tb.sentences[0].tokens[0].deprel == "nsubj:pass"
 
 
+def test_normalize_label_map_row_without_a_tab_is_a_data_error(capsys, tmp_path):
+    sentence = build_sentence("s", [
+        ("toy", "toy", "NOUN", 2, "nn"),
+        ("box", "box", "NOUN", 0, "root"),
+    ])
+    path = tmp_path / "in.conllu"
+    write_conllu(build_treebank([sentence]), path)
+    label_map = tmp_path / "map.tsv"
+    label_map.write_text("nn compound\n", encoding="utf-8")
+    out_path = tmp_path / "out.conllu"
+    code, out, err = run(
+        capsys, "normalize", "--input", str(path), "--label-map", str(label_map),
+        "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {label_map}: line 1: no tab in row 'nn compound'\n"
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / parse / tag
 # ---------------------------------------------------------------------------
@@ -606,8 +625,8 @@ def test_parse_rejects_tagger_model(capsys, tmp_path):
 
 
 def test_commands_without_numeric_work_do_not_import_numpy(tmp_path, fixture_conllu):
-    # numpy costs about half of the start-up time; only eval, tag-cxn
-    # --gold and the baseline commands use it.
+    # numpy costs about half of the start-up time; only the baseline
+    # commands (train, parse, tag) use it.
     out = tmp_path / "out"
     script = (
         "import sys\n"

@@ -284,6 +284,14 @@ def test_load_label_map_tsv(tmp_path):
     assert load_label_map(path) == {"foo": "bar", "baz": "qux"}
 
 
+def test_load_label_map_names_the_line_of_a_row_without_a_tab(tmp_path):
+    path = tmp_path / "map.tsv"
+    path.write_text("# comment\nfoo\tbar\n\nnn compound\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_label_map(path)
+    assert str(info.value) == f"{path}: line 4: no tab in row 'nn compound'"
+
+
 def test_normalize_identity_on_valid_sentence():
     sentence = london_gold()
     out = normalize(sentence, {})

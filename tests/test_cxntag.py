@@ -1,6 +1,6 @@
 import pytest
 
-from cait.conllu import SpeakerRole, validate
+from cait.conllu import SpeakerRole, Treebank, conllu_string, read_conllu, validate
 from cait.cxntag import (
     CXN_LABEL_ORDER,
     Backend,
@@ -162,6 +162,23 @@ def test_strip_keeps_question_mark_when_wh_remains():
     ])
     out = strip_tag_question(sentence)
     assert [t.form for t in out.tokens] == ["where", "did", "he", "go", "?"]
+
+
+def test_strip_rewrites_the_text_comment_whatever_its_case():
+    # The reader takes any key that lower-cases to "text" as the text.
+    rows = [("you", "PRON", 2, "nsubj"), ("like", "VERB", 0, "root"),
+            ("it", "PRON", 2, "obj"), (",", "PUNCT", 2, "punct"),
+            ("do", "AUX", 2, "parataxis"), ("n't", "PART", 5, "advmod"),
+            ("you", "PRON", 5, "nsubj"), ("?", "PUNCT", 2, "punct")]
+    data = "# sent_id = t1\n# Text = you like it , do n't you ?\n" + "".join(
+        f"{i}\t{form}\t{form}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_\n"
+        for i, (form, upos, head, deprel) in enumerate(rows, 1)
+    )
+    out = strip_tag_question(read_conllu(data.encode("utf-8")).sentences[0])
+    assert out.text == "you like it ."
+    assert out.comments == ["# sent_id = t1", "# text = you like it ."]
+    again = read_conllu(conllu_string(Treebank([out])).encode("utf-8"))
+    assert again.sentences[0].text == out.text
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Property tests for the two read paths.
 
 The block reader must give what the frozen line-by-line reader
-(``reference_conllu``) gives; ``cxntag.tag_conllu``, which parses chunks
-of the raw text, must give what reading the whole file and tagging it
-gives; and ``tag-cxn``/``case-study`` must not depend on ``--jobs``.
+(``reference_conllu``) gives; ``cxntag.tag_conllu``, which tags each
+sentence as the reader yields it, must give what reading the whole file
+and tagging it gives; and ``tag-cxn``/``case-study`` must not depend on
+``--jobs``.
 On the same inputs, writing a lenient read and reading it again gives the
 same sentences, and ``normalize`` gives a valid fixed point.
 """
@@ -13,14 +14,12 @@ import io
 import random
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_conllu
 import synth
-from cait import conllu, cxntag
 from cait.cli import main
 from cait.conllu import (
     ConlluError,
@@ -180,10 +179,9 @@ def _read_then_tag(data: bytes, backend: Backend, lexicon: FormulaicLexicon):
 @settings(max_examples=25)
 @given(conllu_texts(), st.sampled_from(Backend))
 def test_chunked_tagging_matches_read_then_tag(data, backend):
-    # In process, one chunk; the test below holds --jobs 3 to --jobs 1.
     lexicon = FormulaicLexicon.default()
     try:
-        got = tag_conllu(data, backend, lexicon, jobs=1)
+        got = tag_conllu(data, backend, lexicon)
     except ConlluError as exc:
         got = type(exc), str(exc), getattr(exc, "line", None)
     assert got == _read_then_tag(data, backend, lexicon)
@@ -223,36 +221,6 @@ def test_tagging_output_does_not_depend_on_jobs(data):
             curves = _run(["case-study", "--input", str(path), "--jobs", jobs])
             results[jobs] = (tag, tsv.read_bytes() if tsv.exists() else None, curves)
     assert results["1"] == results["3"]
-
-
-def test_a_small_input_starts_no_pool(monkeypatch, corpus_path):
-    def no_pool(processes):
-        raise AssertionError(f"a pool of {processes} started")
-
-    monkeypatch.setattr(cxntag, "_pool", no_pool)
-    argv = ["tag-cxn", "--input", str(corpus_path), "--jobs"]
-    assert _run(argv + ["8"]) == _run(argv + ["1"])
-
-
-@settings(max_examples=5)
-@given(conllu_texts(kinds=("valid", "childes")))
-@example(_TAG_ERROR)
-@example(_LATE_DUPLICATE)
-def test_tagging_through_the_pool_does_not_depend_on_jobs(data):
-    # The test above with a chunk floor of one character, so that --jobs 3
-    # starts a pool on every input of two sentence blocks or more.
-    starts = []
-    pool = cxntag._pool
-
-    def counted_pool(processes):
-        starts.append(processes)
-        return pool(processes)
-
-    with mock.patch.object(conllu, "_MIN_CHUNK", 1), \
-            mock.patch.object(cxntag, "_pool", counted_pool):
-        test_tagging_output_does_not_depend_on_jobs.hypothesis.inner_test(data)
-        several = len(conllu.split_chunks(data, 2)) == 2
-    assert bool(starts) == several
 
 
 # Hand-annotated CHILDES sentences: speaker, age and text comments, ranges.
