@@ -3,14 +3,14 @@
 Exit codes: 0 success, 1 data or validation errors (diagnostics go to
 stderr), 2 usage errors. Analytic output goes to stdout or to ``--out``
 paths; logs never mix into data streams. "-" means stdin/stdout.
-Identical invocations on identical inputs are byte-identical. Every
-command runs in one process: ``tag-cxn`` and ``case-study`` still accept
-``--jobs``, which has no effect.
+Identical invocations on identical inputs are byte-identical.
 
 Every command but ``train`` takes its input one sentence at a time and
-keeps only what it prints, rendered to text at once; ``eval`` reads gold
-once per prediction file. Output is written when the whole input has been
-read, so a failed read writes nothing.
+keeps only what it prints, rendered to text at once (``tag-cxn --gold``
+also keeps each tag and speaker, ``case-study`` only per-bin counts);
+``eval`` reads gold once per prediction file. Output is written when the
+whole input has been read, so a failed read writes nothing. Every command
+runs in one process: ``--jobs`` has no effect.
 
 Each command loads and computes only what it prints. numpy is loaded by
 ``train``, ``parse`` and ``tag`` alone: ``eval --tsv`` and ``tag-cxn
@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
-    from .conllu import Diagnostic, Sentence, Strictness
-    from .cxntag import FormulaicLexicon, TagResult
+    from .conllu import Diagnostic, Sentence, SpeakerRole, Strictness
+    from .cxntag import FormulaicLexicon, TaggedUtterance
 
 LEXICON_ENV_VAR = "CAIT_LEXICON"
 
@@ -177,38 +177,47 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # tag-cxn / case-study
 # ---------------------------------------------------------------------------
 
-def _tag_input(args: argparse.Namespace) -> list[TagResult]:
-    from .cxntag import Backend, tag_conllu
+def _tag_sentences(
+    args: argparse.Namespace, errors: list[str]
+) -> Iterator[tuple[Sentence, TaggedUtterance]]:
+    """Each input sentence that tags, with its tag, as the reader yields it;
+    a sentence that fails to tag adds an ``error`` row to ``errors``."""
+    from .conllu import Strictness
+    from .cxntag import Backend, _tag_each
 
     lexicon = _load_lexicon(args.lexicon)
     backend = Backend.UD_RULES if args.backend == "ud" else Backend.POS_RULES
-    return tag_conllu(_source(args.input), backend, lexicon)
-
-
-def _write_errors(results: list[TagResult]) -> int:
-    errors = [r for r in results if r.error is not None]
-    for r in errors:
-        sys.stderr.write(f"error\t{r.sent_id}\t{r.error}\n")
-    return 1 if errors else 0
+    sentences = _sentences(args.input, Strictness.STRICT)
+    for sentence, tagged, error in _tag_each(sentences, backend, lexicon):
+        if error is None:
+            yield sentence, tagged
+        else:
+            errors.append(f"error\t{sentence.sent_id}\t{error}\n")
 
 
 def cmd_tag_cxn(args: argparse.Namespace) -> int:
-    results = _tag_input(args)
-    tagged = [r.tagged for r in results if r.tagged is not None]
+    errors: list[str] = []
+    rows: list[str] = []
+    # Only --gold scores the tags, by speaker.
+    tags: list[TaggedUtterance] = []
+    speakers: dict[str, SpeakerRole] = {}
+    for sentence, item in _tag_sentences(args, errors):
+        rows.append(
+            f"{item.sent_id}\t{item.label.value}\t{item.fired_rule}"
+            f"\t{item.backend.value}\n"
+        )
+        if args.gold:
+            tags.append(item)
+            speakers[sentence.sent_id] = sentence.speaker_role
 
     with _output(args.out) as sink:
-        for item in tagged:
-            sink.write(
-                f"{item.sent_id}\t{item.label.value}\t{item.fired_rule}"
-                f"\t{item.backend.value}\n"
-            )
+        sink.writelines(rows)
 
     if args.gold:
         from .cxntag import _cxn_scores, load_gold_labels
 
         gold = load_gold_labels(args.gold)
-        speakers = {r.sent_id: r.speaker_role for r in results}
-        report = _cxn_scores(tagged, gold, speakers)  # the matrix is not printed
+        report = _cxn_scores(tags, gold, speakers)  # the matrix is not printed
         # With --out the data stream is a file, so the summary can take
         # stdout; otherwise keep stdout clean for the TSV.
         summary = sys.stdout if args.out and args.out != "-" else sys.stderr
@@ -217,20 +226,18 @@ def cmd_tag_cxn(args: argparse.Namespace) -> int:
             summary.write(f"recall\t{label.value}\t{acc:.2f}\n")
         for role, acc in report.by_speaker.items():
             summary.write(f"speaker\t{role}\t{acc:.2f}\n")
-    return _write_errors(results)
+    sys.stderr.writelines(errors)
+    return 1 if errors else 0
 
 
 def cmd_case_study(args: argparse.Namespace) -> int:
     from . import casestudy
-    from .conllu import Sentence
 
-    results = _tag_input(args)
-    labeled = [
-        (Sentence(r.sent_id, r.speaker_role, r.child_age_months), r.tagged.label)
-        for r in results
-        if r.tagged is not None
-    ]
-    binning = casestudy.bin_by_age(labeled, args.width)
+    errors: list[str] = []
+    binning = casestudy.bin_by_age(
+        ((sentence, tagged.label) for sentence, tagged in _tag_sentences(args, errors)),
+        args.width,
+    )
     args.log.info(
         "binned %d utterances into %d cells; %d unbinned",
         sum(b.n_utterances for b in binning.bins),
@@ -241,7 +248,8 @@ def cmd_case_study(args: argparse.Namespace) -> int:
         casestudy.emit_curves(
             binning.bins, sink, include_nonclausal=args.include_nonclausal
         )
-    return _write_errors(results)
+    sys.stderr.writelines(errors)
+    return 1 if errors else 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +293,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .conllu import (
-        Strictness,
-        _source_text,
-        check_in_file_order,
-        parse_blocks,
-    )
+    from .conllu import Strictness, _read
 
     rows: list[str] = []
-    seen_ids: set[str] = set()
     n = bad = 0
-    # Each sentence's tree diagnostics, as the read computed them, then a
-    # repeated sent_id, which every strict command rejects.
-    blocks = parse_blocks(_source_text(_source(args.input)), Strictness.LENIENT)
-    for n, (sentence, tree_diags) in enumerate(blocks, 1):
-        diags = tree_diags + check_in_file_order(
-            sentence.sent_id, tree_diags, seen_ids, Strictness.LENIENT
-        )
-        rows += _diagnostic_rows(sentence, diags)
-        bad += bool(diags)
+    # Tree diagnostics, then a repeated sent_id: what strict reads reject.
+    read = _read(_source(args.input), Strictness.LENIENT)
+    for n, (sentence, violations) in enumerate(read, 1):
+        rows += _diagnostic_rows(sentence, violations)
+        bad += bool(violations)
     sys.stderr.writelines(rows)
     sys.stdout.write(f"{n} sentences, {bad} with violations\n")
     return 1 if bad else 0

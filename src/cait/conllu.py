@@ -30,8 +30,6 @@ __all__ = [
     "Treebank",
     "read_conllu",
     "iter_sentences",
-    "parse_blocks",
-    "check_in_file_order",
     "write_conllu",
     "conllu_string",
     "sentence_text",
@@ -260,12 +258,7 @@ def _extract_metadata(
     age: float | None = None
     diags: list[Diagnostic] = []
     for line in comments:
-        # _metadata_item(line), inlined: this runs for every comment read.
-        key, sep, value = line[1:].partition("=")
-        if not sep:
-            continue
-        key = key.strip().lower()
-        value = value.lstrip()
+        key, value = _metadata_item(line)
         if key == "sent_id":
             sent_id = value
         elif key == "text":
@@ -288,12 +281,22 @@ def table_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
+def table_rows(lines: Iterable[str], source: object) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, first column, rest) for every row of a
+    two-column table file; a row without a tab is a ``ValueError`` that
+    names ``source`` and the line."""
+    for line_no, line in table_lines(lines):
+        key, tab, value = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{source}: line {line_no}: no tab in row {line!r}")
+        yield line_no, key, value
+
+
 def load_role_map(source: str | Path) -> dict[str, SpeakerRole]:
     """Load a two-column TSV mapping speaker codes to CS/CDS/OTHER."""
     mapping: dict[str, SpeakerRole] = {}
     lines = Path(source).read_text(encoding="utf-8").splitlines()
-    for line_no, line in table_lines(lines):
-        code, _, role = line.partition("\t")
+    for line_no, code, role in table_rows(lines, source):
         try:
             mapping[code.strip().lower()] = SpeakerRole(role.strip().upper())
         except ValueError:
@@ -307,20 +310,14 @@ def load_role_map(source: str | Path) -> dict[str, SpeakerRole]:
 # Reading
 # ---------------------------------------------------------------------------
 
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            return data.decode("utf-8")
-        return data
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    return Path(source).read_text(encoding="utf-8")
-
-
 def _source_text(source: str | Path | bytes | IO) -> str:
+    # A path is read in text mode: universal newlines turn CRLF into LF.
     try:
-        text = _read_text(source)
+        if hasattr(source, "read"):
+            source = source.read()
+        elif not isinstance(source, bytes):
+            source = Path(source).read_text(encoding="utf-8")
+        text = source.decode("utf-8") if isinstance(source, bytes) else source
     except UnicodeDecodeError as exc:
         raise ConlluFormatError(f"input is not valid UTF-8: {exc}", 0) from None
     return text[1:] if text.startswith("\ufeff") else text
@@ -350,37 +347,9 @@ def iter_sentences(
 
     Same sentences, diagnostics and errors as ``read_conllu``; an error is
     raised when the reader reaches it, after the sentences before it have
-    been yielded.
+    been yielded. The source is read whole at the first sentence.
     """
-    seen_ids: set[str] = set()
-    for sentence, tree_diags in parse_blocks(
-        _source_text(source), strictness, role_map
-    ):
-        sentence.diagnostics += check_in_file_order(
-            sentence.sent_id, tree_diags, seen_ids, strictness
-        )
-        yield sentence
-
-
-def check_in_file_order(
-    sent_id: str,
-    tree_diags: list[Diagnostic],
-    seen_ids: set[str],
-    strictness: Strictness,
-) -> list[Diagnostic]:
-    """Apply the rules that span sentences to the next sentence in file order.
-
-    Returns the ``duplicate-sent-id`` diagnostic when ``sent_id`` was seen
-    before (and records it in ``seen_ids``); under STRICT, raises
-    ``TreeValidationError`` when the sentence has any tree diagnostic.
-    """
-    extra = []
-    if sent_id in seen_ids:
-        extra.append(Diagnostic("duplicate-sent-id", f"duplicate sent_id {sent_id!r}"))
-    seen_ids.add(sent_id)
-    if strictness is Strictness.STRICT and (tree_diags or extra):
-        raise TreeValidationError(sent_id, tree_diags + extra)
-    return extra
+    return (sentence for sentence, _ in _read(source, strictness, role_map))
 
 
 # A sentence block: a run of lines that hold something besides CRs.
@@ -404,22 +373,34 @@ def _blocks(text: str) -> Iterator[tuple[int, int, list[str]]]:
         line += len(lines) - 1
 
 
-def parse_blocks(
-    text: str,
-    strictness: Strictness = Strictness.STRICT,
+def _read(
+    source: str | Path | bytes | IO,
+    strictness: Strictness,
     role_map: Mapping[str, SpeakerRole] | None = None,
 ) -> Iterator[tuple[Sentence, list[Diagnostic]]]:
-    """Parse each sentence block of ``text`` on its own.
+    """Yield each sentence of ``source`` in file order with its violations:
+    its tree diagnostics, then ``duplicate-sent-id`` when its sent_id was
+    seen before (also appended to the sentence's diagnostics).
 
-    Yields every sentence with its tree diagnostics, which are not raised:
-    that, and ``duplicate-sent-id``, is ``check_in_file_order``'s job.
-    Raises ``ConlluFormatError`` naming the line. The k-th block, if it has
-    no ``sent_id``, is named ``s{k}``.
+    Raises ``ConlluFormatError`` naming the line, and under STRICT
+    ``TreeValidationError`` for a sentence with a violation. The k-th
+    block, if it has no ``sent_id``, is named ``s{k}``.
     """
     strict = strictness is Strictness.STRICT
     roles = DEFAULT_ROLE_MAP if role_map is None else role_map
-    for index, (line_no, end_line, lines) in enumerate(_blocks(text), 1):
-        yield _parse_block(lines, line_no, end_line, index, strict, roles)
+    seen_ids: set[str] = set()
+    blocks = _blocks(_source_text(source))
+    for index, (line_no, end_line, lines) in enumerate(blocks, 1):
+        sentence, diags = _parse_block(lines, line_no, end_line, index, strict, roles)
+        sent_id = sentence.sent_id
+        if sent_id in seen_ids:
+            dup = Diagnostic("duplicate-sent-id", f"duplicate sent_id {sent_id!r}")
+            diags.append(dup)
+            sentence.diagnostics.append(dup)
+        seen_ids.add(sent_id)
+        if strict and diags:
+            raise TreeValidationError(sent_id, diags)
+        yield sentence, diags
 
 
 def _parse_block(
@@ -925,13 +906,8 @@ def _shallowest_cycle_free(toks: list[Token]) -> Token:
 # ---------------------------------------------------------------------------
 
 def _parse_label_map(text: str, source: object) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for line_no, line in table_lines(text.splitlines()):
-        src, tab, dst = line.partition("\t")
-        if not tab:
-            raise ValueError(f"{source}: line {line_no}: no tab in row {line!r}")
-        mapping[src.strip()] = dst.strip()
-    return mapping
+    rows = table_rows(text.splitlines(), source)
+    return {src.strip(): dst.strip() for _, src, dst in rows}
 
 
 def load_label_map(source: str | Path) -> dict[str, str]:

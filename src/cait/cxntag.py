@@ -16,7 +16,8 @@ from enum import Enum
 from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import (IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
+                    NamedTuple, Sequence)
 
 from .conllu import (
     Diagnostic,
@@ -29,6 +30,7 @@ from .conllu import (
     detokenize,
     iter_sentences,
     table_lines,
+    table_rows,
 )
 
 if TYPE_CHECKING:
@@ -839,13 +841,17 @@ def tag_utterance(
     return tagged
 
 
-def _tag_or_error(
-    sentence: Sentence, backend: Backend, lexicon: FormulaicLexicon
-) -> tuple[TaggedUtterance | None, Exception | None]:
-    try:
-        return tag_utterance(sentence, backend, lexicon), None
-    except Exception as exc:  # noqa: BLE001 - reported per sentence
-        return None, exc
+def _tag_each(
+    sentences: Iterable[Sentence], backend: Backend, lexicon: FormulaicLexicon
+) -> Iterator[tuple[Sentence, TaggedUtterance | None, Exception | None]]:
+    """Each sentence with its tag, or with the error that tagging it raised."""
+    for sentence in sentences:
+        try:
+            tagged = tag_utterance(sentence, backend, lexicon)
+        except Exception as exc:  # noqa: BLE001 - reported per sentence
+            yield sentence, None, exc
+        else:
+            yield sentence, tagged, None
 
 
 def tag_treebank(
@@ -855,14 +861,9 @@ def tag_treebank(
 ) -> tuple[list[TaggedUtterance], list[tuple[str, Exception]]]:
     """Tag every sentence; per-sentence failures are collected, never fatal."""
     lexicon = lexicon or FormulaicLexicon.default()
-    tagged: list[TaggedUtterance] = []
-    errors: list[tuple[str, Exception]] = []
-    for sentence in tb.sentences:
-        item, error = _tag_or_error(sentence, backend, lexicon)
-        if error is None:
-            tagged.append(item)
-        else:
-            errors.append((sentence.sent_id, error))
+    results = list(_tag_each(tb.sentences, backend, lexicon))
+    tagged = [item for _, item, error in results if error is None]
+    errors = [(s.sent_id, error) for s, _, error in results if error is not None]
     return tagged, errors
 
 
@@ -882,22 +883,20 @@ def tag_conllu(
     backend: Backend = Backend.UD_RULES,
     lexicon: FormulaicLexicon | None = None,
 ) -> list[TagResult]:
-    """Read CoNLL-U strictly and tag every sentence, in one process; results
-    in file order.
+    """Read CoNLL-U strictly and tag each sentence as the reader yields it;
+    results in file order.
 
     Read errors are raised exactly as ``read_conllu`` raises them, and
     before anything is returned. A sentence that fails to tag gets the
     message of its error in place of a tag.
     """
     lexicon = lexicon or FormulaicLexicon.default()
-    results: list[TagResult] = []
-    for sentence in iter_sentences(source, Strictness.STRICT):
-        tagged, error = _tag_or_error(sentence, backend, lexicon)
-        results.append(TagResult(
-            sentence.sent_id, sentence.speaker_role, sentence.child_age_months,
-            tagged, None if error is None else str(error),
-        ))
-    return results
+    sentences = iter_sentences(source, Strictness.STRICT)
+    return [
+        TagResult(s.sent_id, s.speaker_role, s.child_age_months, tagged,
+                  None if error is None else str(error))
+        for s, tagged, error in _tag_each(sentences, backend, lexicon)
+    ]
 
 
 @dataclass
@@ -915,10 +914,7 @@ def load_gold_labels(source: str | Path) -> dict[str, CxnLabel]:
     """Read a two-column gold TSV: sent_id TAB label."""
     gold: dict[str, CxnLabel] = {}
     lines = Path(source).read_text(encoding="utf-8").splitlines()
-    for line_no, line in table_lines(lines):
-        sent_id, tab, label = line.partition("\t")
-        if not tab:
-            raise ValueError(f"{source}: line {line_no}: no tab in row {line!r}")
+    for line_no, sent_id, label in table_rows(lines, source):
         try:
             gold[sent_id] = CxnLabel(label.strip())
         except ValueError:

@@ -467,3 +467,15 @@ def test_writer_keeps_both_ranges_with_one_start():
         _token_line(1, 0), _token_line(2, 1), _token_line(3, 1),
     ])
     assert out == text
+
+
+def test_two_column_tables_name_a_row_without_a_tab(tmp_path):
+    from cait.conllu import load_label_map, load_role_map
+    from cait.cxntag import load_gold_labels
+
+    path = tmp_path / "table.tsv"
+    path.write_text("# code\trole\n\nchi CS\n", encoding="utf-8")
+    for load in (load_role_map, load_label_map, load_gold_labels):
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: line 3: no tab in row 'chi CS'", load

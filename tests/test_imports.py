@@ -4,10 +4,13 @@ Each row launches ``python -m cait.cli`` with its arguments in a new
 process and records the watched modules in ``sys.modules`` at exit. numpy
 is for the baseline's weight arrays, logging only for ``--log-level info``
 or ``debug``. multiprocessing is never loaded: every command, ``--jobs``
-or not, runs in one process, a big input included.
+or not, runs in one process, a big input included. Every name that a
+``cait`` submodule exports in ``__all__`` exists.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +88,13 @@ def test_each_command_loads_only_what_it_uses(tmp_path, files, command, code, lo
     )
     assert result.returncode == code, result.stderr
     assert record.read_text(encoding="utf-8") == loaded
+
+
+@pytest.mark.parametrize(
+    "module", [info.name for info in pkgutil.iter_modules(cait.__path__)]
+)
+def test_every_exported_name_exists(module):
+    module = importlib.import_module(f"cait.{module}")
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(module, name)] == []

@@ -5,7 +5,9 @@ construction tables; the plain-Python counting must reproduce them byte
 for byte: ``eval --json --tsv --baseline`` in both ``--confusion`` scopes
 (stdout, stderr, exit code and both files) and ``tag-cxn --gold`` with and
 without ``--out``. ``cxn_accuracy`` must still hand out the same int64
-matrix and the same per-category recalls.
+matrix and the same per-category recalls. ``case-study``, ``validate``
+and ``tag-cxn`` on files with an untaggable sentence or a late repeated
+``sent_id`` keep the digests recorded before they streamed their input.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import random
 import pytest
 
 from cait.cli import main
-from cait.conllu import read_conllu, write_conllu
+from cait.conllu import Treebank, read_conllu, write_conllu
 from cait.cxntag import CXN_LABEL_ORDER, CxnLabel, cxn_accuracy, tag_conllu
 from helpers import build_treebank
 from synth import childes_treebank
@@ -169,3 +171,119 @@ EXPECTED_CXN = {
 
 def test_cxn_accuracy_matrix_and_recalls_are_unchanged(inputs):
     assert cxn_matrix_digests(inputs) == EXPECTED_CXN[inputs["name"]]
+
+
+@pytest.fixture(params=["corpus", "synth"])
+def tagging_inputs(request, tmp_path, corpus_path):
+    """A treebank, the same with the first token of its fourth sentence
+    left without UPOS (the UD backend cannot tag it), and the same with its
+    first sentence repeated at the end (a strict read fails there)."""
+    if request.param == "corpus":
+        clean = corpus_path
+    else:
+        clean = tmp_path / "clean.conllu"
+        write_conllu(childes_treebank(300, seed=43, with_ages=True), clean)
+    paths = {"name": request.param, "clean": clean}
+    tb = read_conllu(clean)
+    tb.sentences[3].tokens[0].upos = "_"
+    paths["untaggable"] = tmp_path / "untaggable.conllu"
+    write_conllu(tb, paths["untaggable"])
+    tb = read_conllu(clean)
+    paths["late-duplicate"] = tmp_path / "late-duplicate.conllu"
+    write_conllu(Treebank(tb.sentences + tb.sentences[:1]), paths["late-duplicate"])
+    return paths
+
+
+def tagging_digests(capsys, tmp_path, paths) -> dict[str, str]:
+    out = tmp_path / "out.csv"
+    digests = {}
+    for name in ("clean", "untaggable", "late-duplicate"):
+        data = paths[name]
+        digests[f"validate-{name}"] = _run(capsys, "validate", "--input", data)
+        for backend in ("ud", "pos"):
+            tag = ("tag-cxn", "--input", data, "--backend", backend)
+            digests[f"tag-cxn-{backend}-{name}"] = _run(capsys, *tag)
+            case = ("case-study", "--input", data, "--backend", backend)
+            digests[f"case-study-{backend}-{name}"] = _run(capsys, *case)
+            digests[f"case-study-{backend}-nonclausal-{name}"] = _run(
+                capsys, *case, "--include-nonclausal"
+            )
+        if out.exists():
+            out.unlink()
+        digests[f"case-study-out-{name}"] = _run(
+            capsys, "case-study", "--input", data, "--out", out, "--width", "6"
+        )
+        digests[f"case-study-out-{name}.csv"] = (
+            _sha(out.read_bytes()) if out.exists() else None
+        )
+    return digests
+
+
+# Recorded before tag-cxn and case-study streamed their input.
+EXPECTED_TAGGING = {
+    "corpus": {
+        "validate-clean": "ca0b064e9b8f50aa",
+        "tag-cxn-ud-clean": "217007c8d0a27f5f",
+        "case-study-ud-clean": "3e754284782268a1",
+        "case-study-ud-nonclausal-clean": "58a9724a0c99b4d5",
+        "tag-cxn-pos-clean": "9d57bb78d2a1c721",
+        "case-study-pos-clean": "553c4ba8f4088828",
+        "case-study-pos-nonclausal-clean": "8386e0935c56519d",
+        "case-study-out-clean": "b0efbbc43054beee",
+        "case-study-out-clean.csv": "1a6faa765b96deea",
+        "validate-untaggable": "ca0b064e9b8f50aa",
+        "tag-cxn-ud-untaggable": "4d20adcbcf8be76a",
+        "case-study-ud-untaggable": "8f63934653263808",
+        "case-study-ud-nonclausal-untaggable": "9ff2a4d54ebdf0a9",
+        "tag-cxn-pos-untaggable": "9d57bb78d2a1c721",
+        "case-study-pos-untaggable": "553c4ba8f4088828",
+        "case-study-pos-nonclausal-untaggable": "8386e0935c56519d",
+        "case-study-out-untaggable": "da3a85538af94ebd",
+        "case-study-out-untaggable.csv": "1a6faa765b96deea",
+        "validate-late-duplicate": "4cd8f4987b9e0066",
+        "tag-cxn-ud-late-duplicate": "df68a24cf6c067a5",
+        "case-study-ud-late-duplicate": "df68a24cf6c067a5",
+        "case-study-ud-nonclausal-late-duplicate": "df68a24cf6c067a5",
+        "tag-cxn-pos-late-duplicate": "df68a24cf6c067a5",
+        "case-study-pos-late-duplicate": "df68a24cf6c067a5",
+        "case-study-pos-nonclausal-late-duplicate": "df68a24cf6c067a5",
+        "case-study-out-late-duplicate": "df68a24cf6c067a5",
+        "case-study-out-late-duplicate.csv": None,
+    },
+    "synth": {
+        "validate-clean": "f29d4bab696014c6",
+        "tag-cxn-ud-clean": "46984547ce2372d9",
+        "case-study-ud-clean": "01b7fd00ad926ebc",
+        "case-study-ud-nonclausal-clean": "b6424759dabbb24b",
+        "tag-cxn-pos-clean": "aa01655309d760bd",
+        "case-study-pos-clean": "af14f6e1b9bfb63f",
+        "case-study-pos-nonclausal-clean": "24b4125a937ff378",
+        "case-study-out-clean": "b0efbbc43054beee",
+        "case-study-out-clean.csv": "cfac90f0c3a31e98",
+        "validate-untaggable": "f29d4bab696014c6",
+        "tag-cxn-ud-untaggable": "8f937bd7c0aa5414",
+        "case-study-ud-untaggable": "69576b9e00b776d9",
+        "case-study-ud-nonclausal-untaggable": "5d786ac6a7a73006",
+        "tag-cxn-pos-untaggable": "aa01655309d760bd",
+        "case-study-pos-untaggable": "af14f6e1b9bfb63f",
+        "case-study-pos-nonclausal-untaggable": "24b4125a937ff378",
+        "case-study-out-untaggable": "ed5eea02e080bb7e",
+        "case-study-out-untaggable.csv": "3ed1e1c0e9ea13e0",
+        "validate-late-duplicate": "b9faea98abfe8a05",
+        "tag-cxn-ud-late-duplicate": "1e9d728d066ced06",
+        "case-study-ud-late-duplicate": "1e9d728d066ced06",
+        "case-study-ud-nonclausal-late-duplicate": "1e9d728d066ced06",
+        "tag-cxn-pos-late-duplicate": "1e9d728d066ced06",
+        "case-study-pos-late-duplicate": "1e9d728d066ced06",
+        "case-study-pos-nonclausal-late-duplicate": "1e9d728d066ced06",
+        "case-study-out-late-duplicate": "1e9d728d066ced06",
+        "case-study-out-late-duplicate.csv": None,
+    },
+}
+
+
+def test_case_study_validate_and_tag_cxn_outputs_are_byte_identical(
+    capsys, tmp_path, tagging_inputs
+):
+    digests = tagging_digests(capsys, tmp_path, tagging_inputs)
+    assert digests == EXPECTED_TAGGING[tagging_inputs["name"]]

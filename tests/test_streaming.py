@@ -1,11 +1,12 @@
 """The per-sentence commands read their input as a stream.
 
-``validate``, ``normalize``, ``lint``, ``parse``, ``tag`` and ``eval``
-keep only what they print, never the sentences; they still write nothing
-when the read fails, and ``eval`` raises its errors in the order that
-reading every file first gave. Peak memory is bounded by a small multiple
-of the input size, and generated inputs hold the parser, the tagger and
-the exit-code contract.
+``validate``, ``normalize``, ``lint``, ``parse``, ``tag``, ``eval``,
+``tag-cxn`` and ``case-study`` keep only what they print, never the
+sentences; they still write nothing when the read fails, and ``eval``
+raises its errors in the order that reading every file first gave. Peak
+memory is bounded by a small multiple of the input size, and generated
+inputs hold the parser, the tagger, ``validate``'s rows and the exit-code
+contract.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 import synth
 from cait import baseline
 from cait.cli import main
+import reference_conllu
 from cait.conllu import ConlluError, Strictness, read_conllu, validate, write_conllu
 from test_read_paths import conllu_texts
 
@@ -279,6 +281,15 @@ def test_a_rewriting_command_holds_no_treebank(tmp_path, models, command):
     assert _peak_bytes(argv) < 6 * data.stat().st_size
 
 
+@pytest.mark.parametrize("command", ["tag-cxn", "case-study"])
+def test_tagging_holds_no_per_utterance_results(tmp_path, command):
+    data = tmp_path / "in.conllu"
+    write_conllu(synth.childes_treebank(4000, seed=8, with_ages=True), data)
+    validate_peak = _peak_bytes(["validate", "--input", str(data)])
+    argv = [command, "--input", str(data), "--out", str(tmp_path / "out")]
+    assert _peak_bytes(argv) <= 1.1 * validate_peak
+
+
 # ---------------------------------------------------------------------------
 # Properties over generated inputs
 # ---------------------------------------------------------------------------
@@ -319,3 +330,34 @@ def test_streamed_commands_exit_0_1_or_2_with_error_lines_or_rows(models, data):
         assert code in (0, 1, 2), name
         for line in stderr.splitlines():
             assert line.startswith("error: ") or _is_diagnostic_row(line), (name, line)
+
+
+@settings(max_examples=150)
+@given(conllu_texts())
+def test_validate_reports_tree_violations_then_repeated_sent_ids(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "in.conllu")
+        path.write_bytes(data)
+        code, stdout, stderr = _run(["validate", "--input", str(path)])
+        try:
+            tb = reference_conllu.read_conllu(path, Strictness.LENIENT)
+        except ConlluError as exc:
+            assert (code, stdout, stderr) == (1, "", f"error: {exc}\n")
+            return
+    rows: list[str] = []
+    seen: set[str] = set()
+    bad = 0
+    for sentence in tb.sentences:
+        codes = [(d.code, d.message) for d in validate(sentence)]
+        if sentence.sent_id in seen:
+            codes.append(
+                ("duplicate-sent-id", f"duplicate sent_id {sentence.sent_id!r}")
+            )
+        seen.add(sentence.sent_id)
+        rows += [f"{sentence.sent_id}\t{c}\t{m}\n" for c, m in codes]
+        bad += bool(codes)
+    assert stderr == "".join(rows)
+    assert stdout == f"{len(tb.sentences)} sentences, {bad} with violations\n"
+    assert code == (1 if bad else 0)
+    for line in stderr.splitlines():
+        assert line.split("\t")[1] not in ("bad-feats", "bad-age", "duplicate-id")
