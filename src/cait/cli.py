@@ -5,18 +5,18 @@ stderr), 2 usage errors. Analytic output goes to stdout or to ``--out``
 paths; logs never mix into data streams. "-" means stdin/stdout.
 Identical invocations on identical inputs are byte-identical.
 
-Every command but ``train`` takes its input one sentence at a time and
-keeps only what it prints, rendered to text at once (``tag-cxn --gold``
-also keeps each tag and speaker, ``case-study`` only per-bin counts);
-``eval`` reads gold once per prediction file. Output is written when the
-whole input has been read, so a failed read writes nothing. Every command
-runs in one process: ``--jobs`` has no effect.
+Every command but ``train`` reads each input once, one sentence at a
+time, and keeps only what it prints (``lint`` its findings, ``tag-cxn
+--gold`` each tag and speaker, ``case-study`` per-bin counts); ``eval``
+reads gold in lockstep with the prediction and the baseline. Each output
+is written into a spool while the input is read and copied to its target
+once the whole input has been read, so a failed read writes nothing.
+Every command runs in one process: ``--jobs`` has no effect.
 
 Each command loads and computes only what it prints. numpy is loaded by
 ``train``, ``parse`` and ``tag`` alone: ``eval --tsv`` and ``tag-cxn
---gold`` count their tables in plain Python, and the ``--baseline`` pass
-keeps only the sentence scores its t-test reads. Every cait log record
-is INFO, so ``logging`` is loaded only for ``--log-level`` info or debug.
+--gold`` count their tables in plain Python. Every cait log record is
+INFO, so ``logging`` is loaded only for ``--log-level`` info or debug.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 # those: `cait --help` and `cait validate` never compile the tagger.
 if TYPE_CHECKING:
     from collections.abc import Iterator
+    from typing import IO
 
     from .conllu import Diagnostic, Sentence, SpeakerRole, Strictness
     from .cxntag import FormulaicLexicon, TaggedUtterance
@@ -65,13 +66,23 @@ def _diagnostic_rows(sentence: Sentence, diags: list[Diagnostic]) -> list[str]:
 
 
 @contextmanager
-def _output(path: str | None):
-    """stdout for no path or "-" (left open), else the file, closed after."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8") as sink:
-        yield sink
+def _output(path: str | None, stream: IO[str] | None = None) -> Iterator[IO[str]]:
+    """A spool for one output, written while the input is read. When the
+    block ends without an error, the spool is copied to the file at
+    ``path``, or for no path or "-" to ``stream`` (stdout by default), which
+    is left open; after an error nothing is written or created."""
+    import shutil
+    import tempfile
+
+    # newline="": a CR inside a field comes back as it went in.
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        yield spool
+        spool.seek(0)
+        if path is None or path == "-":
+            shutil.copyfileobj(spool, stream or sys.stdout)
+        else:
+            with open(path, "w", encoding="utf-8") as sink:
+                shutil.copyfileobj(spool, sink)
 
 
 def _load_lexicon(flag_value: str | None) -> FormulaicLexicon:
@@ -97,25 +108,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from . import evaluation
-    from .conllu import Strictness, iter_sentences
+    from .conllu import Strictness
 
     if [args.gold, args.pred, args.baseline].count("-") > 1:
         raise _UsageError("only one of --gold, --pred and --baseline can be '-'")
-    # Gold is streamed once per prediction file rather than held; stdin
-    # can be read only once, so its bytes are kept for the second pass.
-    gold = sys.stdin.buffer.read() if args.gold == "-" else Path(args.gold)
-    report = evaluation.evaluate_treebanks(
-        iter_sentences(gold), _sentences(args.pred, Strictness.STRICT)
-    )
+    # Gold is read once, in lockstep with the prediction and the baseline.
+    paths = [args.gold, args.pred] + ([args.baseline] if args.baseline else [])
+    tallies = evaluation._tally(*(_sentences(p, Strictness.STRICT) for p in paths))
+    report = evaluation._report(next(tallies))
 
     ttest_payload = None
     if args.baseline:
         # The t-test reads only the baseline's sentence scores.
-        base_scores = evaluation._tally(
-            iter_sentences(gold),
-            _sentences(args.baseline, Strictness.STRICT),
-            scores_only=True,
-        ).scores
+        base_scores = next(tallies).scores
 
         def pct(scores, attr):
             return [
@@ -197,21 +202,18 @@ def _tag_sentences(
 
 def cmd_tag_cxn(args: argparse.Namespace) -> int:
     errors: list[str] = []
-    rows: list[str] = []
     # Only --gold scores the tags, by speaker.
     tags: list[TaggedUtterance] = []
     speakers: dict[str, SpeakerRole] = {}
-    for sentence, item in _tag_sentences(args, errors):
-        rows.append(
-            f"{item.sent_id}\t{item.label.value}\t{item.fired_rule}"
-            f"\t{item.backend.value}\n"
-        )
-        if args.gold:
-            tags.append(item)
-            speakers[sentence.sent_id] = sentence.speaker_role
-
     with _output(args.out) as sink:
-        sink.writelines(rows)
+        for sentence, item in _tag_sentences(args, errors):
+            sink.write(
+                f"{item.sent_id}\t{item.label.value}\t{item.fired_rule}"
+                f"\t{item.backend.value}\n"
+            )
+            if args.gold:
+                tags.append(item)
+                speakers[sentence.sent_id] = sentence.speaker_role
 
     if args.gold:
         from .cxntag import _cxn_scores, load_gold_labels
@@ -260,31 +262,29 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from . import lint
     from .conllu import Strictness, sentence_text
 
-    fixed: list[str] = []
-    reports = lint.lint_all(
-        _sentences(args.input, Strictness.STRICT),
-        (lambda sentence: fixed.append(sentence_text(sentence))) if args.fix else None,
-    )
-    if args.tsv:
-        with _output(args.tsv) as sink:
-            sink.write(
-                "sent_id\ttoken_id\trule\tgold_deprel\tsuggested_deprel\tcontext\n"
-            )
+    # The fixed sentences are spooled as they are linted, and written last.
+    with _output(args.fix) if args.fix else nullcontext() as fixed:
+        reports = lint.lint_all(
+            _sentences(args.input, Strictness.STRICT),
+            (lambda s: fixed.write(sentence_text(s))) if args.fix else None,
+        )
+        if args.tsv:
+            with _output(args.tsv) as sink:
+                sink.write(
+                    "sent_id\ttoken_id\trule\tgold_deprel\tsuggested_deprel\tcontext\n"
+                )
+                for report in reports:
+                    for f in report.findings:
+                        sink.write(
+                            f"{f.sent_id}\t{f.token_id}\t{f.rule.value}"
+                            f"\t{f.gold_deprel}\t{f.suggested_deprel}\t{f.context}\n"
+                        )
+        else:
             for report in reports:
-                for f in report.findings:
-                    sink.write(
-                        f"{f.sent_id}\t{f.token_id}\t{f.rule.value}"
-                        f"\t{f.gold_deprel}\t{f.suggested_deprel}\t{f.context}\n"
-                    )
-    else:
-        for report in reports:
-            sys.stdout.write(
-                f"{report.rule.value}\tflagged {report.n_flagged}"
-                f"\tcandidates {report.n_candidates}\trate {report.rate:.4f}\n"
-            )
-    if args.fix:
-        with _output(args.fix) as sink:
-            sink.writelines(fixed)
+                sys.stdout.write(
+                    f"{report.rule.value}\tflagged {report.n_flagged}"
+                    f"\tcandidates {report.n_candidates}\trate {report.rate:.4f}\n"
+                )
     return 0
 
 
@@ -295,14 +295,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from .conllu import Strictness, _read
 
-    rows: list[str] = []
     n = bad = 0
     # Tree diagnostics, then a repeated sent_id: what strict reads reject.
-    read = _read(_source(args.input), Strictness.LENIENT)
-    for n, (sentence, violations) in enumerate(read, 1):
-        rows += _diagnostic_rows(sentence, violations)
-        bad += bool(violations)
-    sys.stderr.writelines(rows)
+    with _output(None, sys.stderr) as rows:
+        read = _read(_source(args.input), Strictness.LENIENT)
+        for n, (sentence, violations) in enumerate(read, 1):
+            rows.writelines(_diagnostic_rows(sentence, violations))
+            bad += bool(violations)
     sys.stdout.write(f"{n} sentences, {bad} with violations\n")
     return 1 if bad else 0
 
@@ -326,15 +325,12 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         for _ in sentences:
             pass
         raise
-    rows: list[str] = []
-    repaired: list[str] = []
-    for sentence in sentences:
-        sentence = normalize(sentence, label_map)
-        rows += _diagnostic_rows(sentence, sentence.diagnostics)
-        repaired.append(sentence_text(sentence))
-    sys.stderr.writelines(rows)
-    with _output(args.out) as sink:
-        sink.writelines(repaired)
+    # The diagnostic rows are written before the repaired sentences.
+    with _output(args.out) as repaired, _output(None, sys.stderr) as rows:
+        for sentence in sentences:
+            sentence = normalize(sentence, label_map)
+            rows.writelines(_diagnostic_rows(sentence, sentence.diagnostics))
+            repaired.write(sentence_text(sentence))
     return 0
 
 
@@ -369,22 +365,20 @@ def cmd_parse(args: argparse.Namespace) -> int:
     model = baseline.load_model(args.model)
     if not isinstance(model, baseline.ParserModel):
         raise _UsageError(f"{args.model} is not a parser model")
-    parsed: list[str] = []
     # parse's diagnostics are normalize's repairs, then cleanup's attachments.
-    normalized = attached = 0
-    for sentence in _sentences(args.input, Strictness.LENIENT):
-        sentence = baseline.parse(model, sentence)
-        cleanup = [d for d in sentence.diagnostics if d.code == "cleanup-attach"]
-        normalized += len(sentence.diagnostics) > len(cleanup)
-        attached += sum(len(d.token_ids) for d in cleanup)
-        parsed.append(sentence_text(sentence))
-    args.log.info(
-        "parsed %d sentences: %d normalized before decoding, "
-        "%d tokens attached to the root by cleanup",
-        len(parsed), normalized, attached,
-    )
-    with _output(args.out) as sink:
-        sink.writelines(parsed)
+    n = normalized = attached = 0
+    with _output(args.out) as parsed:
+        for n, sentence in enumerate(_sentences(args.input, Strictness.LENIENT), 1):
+            sentence = baseline.parse(model, sentence)
+            cleanup = [d for d in sentence.diagnostics if d.code == "cleanup-attach"]
+            normalized += len(sentence.diagnostics) > len(cleanup)
+            attached += sum(len(d.token_ids) for d in cleanup)
+            parsed.write(sentence_text(sentence))
+        args.log.info(
+            "parsed %d sentences: %d normalized before decoding, "
+            "%d tokens attached to the root by cleanup",
+            n, normalized, attached,
+        )
     return 0
 
 
@@ -395,12 +389,9 @@ def cmd_tag(args: argparse.Namespace) -> int:
     model = baseline.load_model(args.model)
     if not isinstance(model, baseline.TaggerModel):
         raise _UsageError(f"{args.model} is not a tagger model")
-    tagged = [
-        sentence_text(baseline.tag(model, s))
-        for s in _sentences(args.input, Strictness.LENIENT)
-    ]
-    with _output(args.out) as sink:
-        sink.writelines(tagged)
+    with _output(args.out) as tagged:
+        for sentence in _sentences(args.input, Strictness.LENIENT):
+            tagged.write(sentence_text(baseline.tag(model, sentence)))
     return 0
 
 

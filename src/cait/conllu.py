@@ -9,6 +9,7 @@ leniently-read sentence into a valid tree.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -310,19 +311,6 @@ def load_role_map(source: str | Path) -> dict[str, SpeakerRole]:
 # Reading
 # ---------------------------------------------------------------------------
 
-def _source_text(source: str | Path | bytes | IO) -> str:
-    # A path is read in text mode: universal newlines turn CRLF into LF.
-    try:
-        if hasattr(source, "read"):
-            source = source.read()
-        elif not isinstance(source, bytes):
-            source = Path(source).read_text(encoding="utf-8")
-        text = source.decode("utf-8") if isinstance(source, bytes) else source
-    except UnicodeDecodeError as exc:
-        raise ConlluFormatError(f"input is not valid UTF-8: {exc}", 0) from None
-    return text[1:] if text.startswith("\ufeff") else text
-
-
 def read_conllu(
     source: str | Path | bytes | IO,
     strictness: Strictness = Strictness.STRICT,
@@ -347,30 +335,77 @@ def iter_sentences(
 
     Same sentences, diagnostics and errors as ``read_conllu``; an error is
     raised when the reader reaches it, after the sentences before it have
-    been yielded. The source is read whole at the first sentence.
+    been yielded. The source is read once, a piece at a time, so neither
+    its bytes nor its text are held whole.
     """
     return (sentence for sentence, _ in _read(source, strictness, role_map))
 
 
-# A sentence block: a run of lines that hold something besides CRs.
-_BLOCK = re.compile(r"\r*[^\r\n][^\n]*(?:\n\r*[^\r\n][^\n]*)*")
+# Read, decode and split a buffer's worth at a time: a bigger piece is no
+# faster, and its lines would all be alive at once.
+_CHUNK = io.DEFAULT_BUFFER_SIZE
 
 
-def _blocks(text: str) -> Iterator[tuple[int, int, list[str]]]:
-    """Yield (first line, closing line, lines) per sentence block, trailing
-    CRs removed. The closing line is the blank line after the block, or the
-    block's first line when the text ends inside it."""
-    has_cr = "\r" in text
-    line, pos = 1, 0
-    for m in _BLOCK.finditer(text):
-        line += text.count("\n", pos, m.start())
-        pos = m.end()
-        lines = m.group().split("\n")
-        if has_cr:
-            lines = [raw.rstrip("\r") for raw in lines]
-        end_line = line if pos == len(text) else line + len(lines)
-        yield line, end_line, lines
-        line += len(lines) - 1
+def _blocks(source: str | Path | bytes | IO) -> Iterator[tuple[int, int, list[str]]]:
+    """Yield (first line, closing line, lines) per sentence block, reading
+    ``source`` once: a path (opened in binary mode), bytes, or a binary or
+    text stream, taken as given. Bytes are UTF-8, a leading BOM is skipped,
+    and only ``\n`` ends a line; trailing CRs are dropped, so a line of CRs
+    only is blank. The closing line is the blank line after the block, or
+    the block's first line when the input ends inside it."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    if not hasattr(source, "read"):
+        with open(source, "rb") as stream:
+            yield from _blocks(stream)
+        return
+    lines: list[str] = []
+    first = line_no = offset = 0
+    rest = source.read(0)
+    newline = b"\n" if isinstance(rest, bytes) else "\n"
+    while True:
+        # Reading at least what is pending keeps a long line's copies linear.
+        chunk = source.read(max(_CHUNK, len(rest)))
+        data = rest + chunk
+        # Each piece ends at a newline, so no character is cut in two.
+        cut = data.rfind(newline) + 1 if chunk else len(data)
+        text, rest = data[:cut], data[cut:]
+        if isinstance(text, bytes):
+            try:
+                text = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _decode_error(exc, offset) from None
+        if offset == 0:
+            text = text.removeprefix("\ufeff")
+        offset += cut
+        split = text.split("\n")
+        if chunk:
+            split.pop()  # the empty string after the piece's last newline
+        for line in split:
+            line_no += 1
+            line = line.rstrip("\r")
+            if line:
+                if not lines:
+                    first = line_no
+                lines.append(line)
+            elif lines:
+                yield first, line_no, lines
+                lines = []
+        if not chunk:
+            break
+    if lines:
+        yield first, first, lines
+
+
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> ConlluFormatError:
+    """The error of a piece ``offset`` bytes into the input, in the words of
+    decoding the whole input."""
+    start, end = offset + exc.start, offset + exc.end
+    where = f"bytes in position {start}-{end - 1}"
+    if end - start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    reason = f"'utf-8' codec can't decode {where}: {exc.reason}"
+    return ConlluFormatError(f"input is not valid UTF-8: {reason}", 0)
 
 
 def _read(
@@ -389,7 +424,7 @@ def _read(
     strict = strictness is Strictness.STRICT
     roles = DEFAULT_ROLE_MAP if role_map is None else role_map
     seen_ids: set[str] = set()
-    blocks = _blocks(_source_text(source))
+    blocks = _blocks(source)
     for index, (line_no, end_line, lines) in enumerate(blocks, 1):
         sentence, diags = _parse_block(lines, line_no, end_line, index, strict, roles)
         sent_id = sentence.sent_id

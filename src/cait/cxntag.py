@@ -916,7 +916,7 @@ def load_gold_labels(source: str | Path) -> dict[str, CxnLabel]:
     lines = Path(source).read_text(encoding="utf-8").splitlines()
     for line_no, sent_id, label in table_rows(lines, source):
         try:
-            gold[sent_id] = CxnLabel(label.strip())
+            gold[sent_id.strip()] = CxnLabel(label.strip())
         except ValueError:
             raise ValueError(
                 f"{source}: line {line_no}: {label.strip()!r} is not a "

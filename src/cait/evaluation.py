@@ -117,6 +117,7 @@ class EvalReport:
         self, min_gold: int = 100, scope: ErrorScope = ErrorScope.LAS
     ) -> dict[str, float]:
         """``per_label_error_rates`` of the scored treebanks."""
+        _check_min_gold(min_gold)
         return _error_rates(self.deprel_counts, min_gold, scope)
 
     def confusion(
@@ -257,12 +258,15 @@ class _Tally(NamedTuple):
 
 class _Stream:
     """A sentence iterable, read to its end or to its first read error,
-    which is kept for ``_tally`` to raise in its turn."""
+    which is kept for ``_tally`` to raise in its turn. For a prediction it
+    also keeps what was scored on it and the first pair that did not align."""
 
     def __init__(self, sentences: Iterable[Sentence]):
         self._sentences = iter(sentences)
         self.count = 0
         self.error: ConlluError | OSError | None = None
+        self.tally = _Tally([], Counter(), set(), Counter())
+        self.pair_error: AlignmentError | None = None
 
     def __iter__(self) -> Iterator[Sentence]:
         if self.error is None:
@@ -277,36 +281,17 @@ class _Stream:
         for _ in self:
             pass
 
-
-def _tally(
-    gold: Iterable[Sentence],
-    pred: Iterable[Sentence],
-    universal_deprel_only: bool = False,
-    scores_only: bool = False,
-) -> _Tally:
-    """Take the sentence pairs in lockstep and align each once, as it is
-    taken, so that no sentence or alignment outlives its pair; count
-    everything scored on it, or with ``scores_only`` only the sentence
-    scores.
-
-    On the first error scoring stops, and each input is read to its end or
-    to its own read error. Then the first error in this order is raised: a
-    gold read error, a predicted read error, differing sentence counts, the
-    pair's ``AlignmentError``. The order is that of reading both inputs
-    whole before scoring.
-    """
-    golds, preds = _Stream(gold), _Stream(pred)
-    tally = _Tally([], Counter(), set(), Counter())
-    pair_error = None
-    for gsent, psent in zip(golds, preds):
+    def score(
+        self, gsent: Sentence, psent: Sentence, universal_deprel_only: bool
+    ) -> None:
+        """Align the pair once and count everything scored on it."""
         try:
             pairs = align(gsent, psent)
         except AlignmentError as exc:
-            pair_error = exc
-            break
+            self.pair_error = exc
+            return
+        tally = self.tally
         tally.scores.append(_score_pairs(gsent, pairs, universal_deprel_only))
-        if scores_only:
-            continue
         tally.agree["upos"] += sum(g.upos == p.upos for g, p in pairs)
         tally.agree["xpos"] += sum(g.xpos == p.xpos for g, p in pairs)
         if any(p.upos != "_" for _, p in pairs):
@@ -314,20 +299,47 @@ def _tally(
         if any(p.xpos != "_" for _, p in pairs):
             tally.predicted.add("xpos")
         tally.deprels.update((g.deprel, p.deprel, g.head == p.head) for g, p in pairs)
-    golds.drain()
-    preds.drain()
-    for error in (golds.error, preds.error):
-        if error is not None:
-            raise error
-    if golds.count != preds.count:
-        raise AlignmentError(
-            "<treebank>",
-            0,
-            f"sentence counts differ ({golds.count} vs {preds.count})",
-        )
-    if pair_error is not None:
-        raise pair_error
-    return tally
+
+
+def _tally(
+    gold: Iterable[Sentence],
+    *preds: Iterable[Sentence],
+    universal_deprel_only: bool = False,
+) -> Iterator[_Tally]:
+    """Yield one tally per prediction, in order. Gold is read once, in
+    lockstep with every prediction, and each pair is aligned once, as it is
+    taken, so that no sentence or alignment outlives its pairs.
+
+    A prediction stops scoring at its first error while the others go on,
+    and every input is read to its end or to its own read error. A gold
+    read error is raised first; then, as each tally is taken, the first of
+    its prediction's errors in this order: a read error, differing sentence
+    counts, the pair's ``AlignmentError``. The order is that of reading
+    gold and each prediction whole before scoring them.
+    """
+    golds = _Stream(gold)
+    streams = [_Stream(pred) for pred in preds]
+    readers = [iter(stream) for stream in streams]
+    for gsent in golds:
+        for stream, reader in zip(streams, readers):
+            if stream.pair_error is None and (psent := next(reader, None)) is not None:
+                stream.score(gsent, psent, universal_deprel_only)
+    for stream in (golds, *streams):
+        stream.drain()
+    if golds.error is not None:
+        raise golds.error
+    for stream in streams:
+        if stream.error is not None:
+            raise stream.error
+        if golds.count != stream.count:
+            raise AlignmentError(
+                "<treebank>",
+                0,
+                f"sentence counts differ ({golds.count} vs {stream.count})",
+            )
+        if stream.pair_error is not None:
+            raise stream.pair_error
+        yield stream.tally
 
 
 def tag_accuracy(
@@ -336,7 +348,7 @@ def tag_accuracy(
     """Percentage of aligned tokens whose UPOS (or XPOS) values are equal."""
     if tagfield not in ("upos", "xpos"):
         raise ValueError(f"tagfield must be 'upos' or 'xpos', got {tagfield!r}")
-    tally = _tally(gold, pred)
+    tally = next(_tally(gold, pred))
     if tally.tokens == 0:
         raise ValueError("no tokens to score")
     return 100.0 * tally.agree[tagfield] / tally.tokens
@@ -354,7 +366,13 @@ def evaluate_treebanks(
 
     ``gold`` and ``pred`` are treebanks or any sentence iterables, such as
     two ``iter_sentences`` streams, which are read in lockstep."""
-    tally = _tally(gold, pred, universal_deprel_only)
+    tallies = _tally(gold, pred, universal_deprel_only=universal_deprel_only)
+    return _report(next(tallies))
+
+
+def _report(tally: _Tally) -> EvalReport:
+    """``aggregate`` of the tally's scores, with its deprel counts and the
+    tag accuracies of the tag fields the prediction fills."""
     report = aggregate(tally.scores)  # raises unless tally.tokens > 0
     report.deprel_counts = tally.deprels
     if "upos" in tally.predicted:
@@ -461,9 +479,13 @@ def per_label_error_rates(
 ) -> dict[str, float]:
     """Error rate per gold deprel, normalized by gold label frequency;
     labels with fewer than ``min_gold`` gold instances are omitted."""
+    _check_min_gold(min_gold)  # before any sentence is read
+    return _error_rates(next(_tally(gold, pred)).deprels, min_gold, scope)
+
+
+def _check_min_gold(min_gold: int) -> None:
     if min_gold < 1:
         raise ValueError("min_gold must be >= 1")
-    return _error_rates(_tally(gold, pred).deprels, min_gold, scope)
 
 
 def _error_rates(
@@ -513,7 +535,7 @@ def confusion(
     scope: ConfusionScope = ConfusionScope.LABEL_ONLY,
 ) -> ConfusionMatrix:
     """Gold-by-predicted deprel counts over aligned tokens."""
-    return _confusion(_tally(gold, pred).deprels, scope)
+    return _confusion(next(_tally(gold, pred)).deprels, scope)
 
 
 def _confusion(

@@ -156,10 +156,11 @@ def test_eval_aligns_each_pair_once(capsys, monkeypatch, tmp_path, corpus_path):
         "--baseline", str(paths["base"]), "--tsv", str(tmp_path / "conf.tsv"),
     )
     assert code == 0
+    # Gold is read once: each gold sentence meets pred, then base.
     assert aligned == [
         (s.sent_id, f"{name}-{s.sent_id}")
-        for name in ("pred", "base")
         for s in gold.sentences
+        for name in ("pred", "base")
     ]
 
 

@@ -171,6 +171,25 @@ def test_corpus_roundtrip_byte_identity(corpus_bytes):
     assert out.getvalue().encode("utf-8") == corpus_bytes
 
 
+
+class _CountedReads(io.BytesIO):
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.reads = 0
+
+    def read(self, size: int | None = -1) -> bytes:
+        self.reads += 1
+        return super().read(size)
+
+
+def test_a_long_line_is_read_in_few_pieces():
+    # Each read takes at least what is pending, so a line longer than a
+    # buffer is copied a bounded number of times, not once per buffer.
+    source = _CountedReads(b"x" * 2**20)
+    with pytest.raises(ConlluFormatError, match="line 1: expected 10"):
+        read_conllu(source)
+    assert source.reads < 20
+
 def test_empty_treebank_writes_empty_output():
     out = io.StringIO()
     write_conllu(Treebank(), out)

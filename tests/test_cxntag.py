@@ -401,6 +401,23 @@ def test_load_gold_labels_names_the_line_of_a_bad_row(tmp_path):
     assert str(info.value) == f"{path}: line 2: no tab in row 'b SPT'"
 
 
+
+def test_load_gold_labels_strips_both_columns(tmp_path):
+    from cait.cli import main
+    from cait.cxntag import load_gold_labels
+
+    labels = tmp_path / "gold.tsv"
+    labels.write_text("s1 \tFOR \n", encoding="utf-8")
+    assert load_gold_labels(labels) == {"s1": CxnLabel.FOR}
+
+    data = tmp_path / "in.conllu"
+    data.write_text(
+        "# sent_id = s1\n1\tgo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n\n",
+        encoding="utf-8",
+    )
+    assert main(["tag-cxn", "--input", str(data), "--gold", str(labels),
+                 "--out", str(tmp_path / "tags.tsv")]) == 0
+
 def test_punct_parataxis_with_aux_lemma_is_not_a_tag_question():
     # A PUNCT parataxis dependent with an auxiliary lemma has no content
     # token in its subtree; the structural detector used to take max() of

@@ -393,6 +393,18 @@ def test_per_label_threshold_omits_rare_labels():
     assert per_label_error_rates(gold, pred, min_gold=99)["conj"] > 0
 
 
+
+@pytest.mark.parametrize("min_gold", [0, -5])
+def test_per_label_rejects_min_gold_below_one_from_a_report_too(min_gold):
+    tb = build_treebank([london_gold()])
+    report = evaluate_treebanks(tb, tb)
+    for rates in (
+        lambda: per_label_error_rates(tb, tb, min_gold=min_gold),
+        lambda: report.per_label_error_rates(min_gold),
+    ):
+        with pytest.raises(ValueError, match="min_gold must be >= 1"):
+            rates()
+
 def test_per_label_rate_mass_equals_las_errors():
     rng = random.Random(21)
     gold_sents = [random_valid_sentence(rng, f"g{i}") for i in range(40)]

@@ -4,8 +4,10 @@ Each row launches ``python -m cait.cli`` with its arguments in a new
 process and records the watched modules in ``sys.modules`` at exit. numpy
 is for the baseline's weight arrays, logging only for ``--log-level info``
 or ``debug``. multiprocessing is never loaded: every command, ``--jobs``
-or not, runs in one process, a big input included. Every name that a
-``cait`` submodule exports in ``__all__`` exists.
+or not, runs in one process, a big input included. ``import cait`` loads
+neither ``tempfile`` nor ``shutil``, which spool output, and ``cait
+--help`` only the ``shutil`` that argparse's help formatter loads. Every
+name that a ``cait`` submodule exports in ``__all__`` exists.
 """
 
 import importlib
@@ -98,3 +100,33 @@ def test_every_exported_name_exists(module):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+# Output is spooled through tempfile and copied out with shutil, which only
+# a command that writes needs; `cait --help` is what start-up time measures.
+# Help itself loads shutil: argparse reads the terminal width through it.
+SPOOL_PROBE = (
+    "import sys\n"
+    "try:\n"
+    "    exec(sys.argv.pop(1))\n"
+    "finally:\n"
+    "    print('loaded:', *(m for m in ('shutil', 'tempfile') if m in sys.modules))\n"
+)
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import cait", "loaded:"),
+    ("import cait.cli", "loaded:"),
+    ("import runpy; sys.argv[1:] = ['--help']; "
+     "runpy.run_module('cait.cli', run_name='__main__', alter_sys=True)",
+     "loaded: shutil"),
+], ids=["import cait", "import cait.cli", "cait --help"])
+def test_start_up_loads_no_spool_modules(code, loaded):
+    env = dict(os.environ, PYTHONPATH=str(Path(cait.__file__).parents[1]))
+    # -S: no site module, whose .pth hooks may load these modules on their own.
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", SPOOL_PROBE, code],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == loaded

@@ -8,6 +8,8 @@ without ``--out``. ``cxn_accuracy`` must still hand out the same int64
 matrix and the same per-category recalls. ``case-study``, ``validate``
 and ``tag-cxn`` on files with an untaggable sentence or a late repeated
 ``sent_id`` keep the digests recorded before they streamed their input.
+``lint --tsv - --fix -`` and ``eval --json - --tsv -`` keep the order of
+their two outputs on stdout, as recorded before output was spooled.
 """
 
 import hashlib
@@ -287,3 +289,23 @@ def test_case_study_validate_and_tag_cxn_outputs_are_byte_identical(
 ):
     digests = tagging_digests(capsys, tmp_path, tagging_inputs)
     assert digests == EXPECTED_TAGGING[tagging_inputs["name"]]
+
+
+def two_outputs_on_stdout(capsys, paths) -> dict[str, str]:
+    """Commands whose two outputs both go to stdout, in the order written."""
+    lint = ("lint", "--input", paths["pred"], "--tsv", "-", "--fix", "-")
+    evaluate = ("eval", "--gold", paths["gold"], "--pred", paths["pred"],
+                "--baseline", paths["base"], "--json", "-", "--tsv", "-")
+    return {"lint": _run(capsys, *lint), "eval": _run(capsys, *evaluate)}
+
+
+# Recorded while every command still held its output in lists.
+EXPECTED_TWO_ON_STDOUT = {
+    "corpus": {"lint": "0fc524f3252df03a", "eval": "9a2bc57ba16ffb3d"},
+    "synth": {"lint": "e81cdb013b302068", "eval": "2c5b39fcf0439535"},
+}
+
+
+def test_two_outputs_on_stdout_keep_their_order(capsys, inputs):
+    digests = two_outputs_on_stdout(capsys, inputs)
+    assert digests == EXPECTED_TWO_ON_STDOUT[inputs["name"]]

@@ -3,8 +3,10 @@
 ``validate``, ``normalize``, ``lint``, ``parse``, ``tag``, ``eval``,
 ``tag-cxn`` and ``case-study`` keep only what they print, never the
 sentences; they still write nothing when the read fails, and ``eval``
-raises its errors in the order that reading every file first gave. Peak
-memory is bounded by a small multiple of the input size, and generated
+raises its errors in the order that reading every file first gave. A path
+and stdin follow one newline rule, so they give the same outputs. Peak
+memory is bounded by a small multiple of the input size, or for
+``validate``, ``normalize`` and ``lint`` by less than it, and generated
 inputs hold the parser, the tagger, ``validate``'s rows and the exit-code
 contract.
 """
@@ -12,6 +14,8 @@ contract.
 import contextlib
 import gc
 import io
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -244,6 +248,70 @@ def test_a_failed_read_writes_nothing(tmp_path, corpus_path, models, kind, exist
 
 
 # ---------------------------------------------------------------------------
+# A path and stdin follow one newline rule
+# ---------------------------------------------------------------------------
+
+def _cr_in_field(text: str) -> str:
+    """The text with the MISC field of its first token line set to A<CR>B."""
+    blocks = text.strip("\n").split("\n\n")
+    return _document(_replace(blocks, 0, lambda b: _set_first_token(b, 9, "A\rB")))
+
+
+# Only "\n" ends a line, whichever way the input comes.
+_NEWLINE_INPUTS = {
+    "crlf": _CORPUS.replace("\n", "\r\n").encode("utf-8"),
+    "cr-crlf": _CORPUS.replace("\n", "\r\r\n").encode("utf-8"),
+    "cr-in-field": _cr_in_field(_CORPUS).encode("utf-8"),
+    "late-invalid-utf-8": _CORPUS.encode("utf-8") + b"# note = \xff\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEWLINE_INPUTS))
+def test_a_path_and_stdin_give_the_same_result(
+    monkeypatch, tmp_path, corpus_path, models, name
+):
+    data = _NEWLINE_INPUTS[name]
+    path = tmp_path / "in.conllu"
+    path.write_bytes(data)
+    results = {}
+    for how, source in (("path", str(path)), ("stdin", "-")):
+        out = tmp_path / how
+        out.mkdir()
+        commands = _commands(source, str(corpus_path), models, out)
+        commands.update({
+            "eval-pred": ["eval", "--gold", str(corpus_path), "--pred", source,
+                          "--json", "-", "--tsv", "-"],
+            "tag-cxn": ["tag-cxn", "--input", source, "--out", str(out / "tags")],
+            "case-study": ["case-study", "--input", source,
+                           "--out", str(out / "curves")],
+            "train": ["train", "--input", source, "--model", str(out / "model"),
+                      "--epochs", "1"],
+        })
+        for command, argv in commands.items():
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            outputs = [Path(arg) for arg in argv if arg.startswith(str(out))]
+            results[how, command] = _run(argv), [
+                p.read_bytes() if p.exists() else None for p in outputs
+            ]
+    for command in commands:
+        assert results["path", command] == results["stdin", command], command
+    if name == "cr-in-field":
+        assert b"\tA\rB\n" in (tmp_path / "stdin" / "normalized").read_bytes()
+
+
+def test_normalize_from_stdin_keeps_a_cr_inside_a_field():
+    data = _NEWLINE_INPUTS["cr-in-field"]
+    env = dict(os.environ, PYTHONPATH=str(Path(baseline.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "cait.cli", "normalize", "--input", "-"],
+        input=data, env=env, capture_output=True, check=True,
+    )
+    line = next(x for x in data.split(b"\n") if b"\r" in x)
+    assert line.split(b"\t")[9] == b"A\rB"
+    assert [x for x in result.stdout.split(b"\n") if b"\r" in x] == [line]
+
+
+# ---------------------------------------------------------------------------
 # Memory: sentences do not outlive the step that reads them
 # ---------------------------------------------------------------------------
 
@@ -288,6 +356,49 @@ def test_tagging_holds_no_per_utterance_results(tmp_path, command):
     validate_peak = _peak_bytes(["validate", "--input", str(data)])
     argv = [command, "--input", str(data), "--out", str(tmp_path / "out")]
     assert _peak_bytes(argv) <= 1.1 * validate_peak
+
+
+@pytest.mark.parametrize("command", ["validate", "normalize", "lint"])
+def test_a_command_holds_less_than_its_input(tmp_path, command):
+    data = tmp_path / "in.conllu"
+    write_conllu(synth.childes_treebank(4000, seed=9, with_ages=True), data)
+    argv = [command, "--input", str(data)]
+    if command == "normalize":
+        argv += ["--out", str(tmp_path / "out.conllu")]
+    if command == "lint":
+        argv += ["--fix", str(tmp_path / "fixed.conllu")]
+    assert _peak_bytes(argv) < 0.75 * data.stat().st_size
+
+
+class _Stdin:
+    """A stdin that reads a file from its start for each run. A read from a
+    file allocates its bytes, where a BytesIO can hand out its buffer."""
+
+    def __init__(self, path: Path):
+        self._path = path
+        self._files: list[io.BufferedReader] = []
+
+    @property
+    def buffer(self) -> io.BufferedReader:
+        self._files.append(open(self._path, "rb"))
+        return self._files[-1]
+
+    def close(self) -> None:
+        for f in self._files:
+            f.close()
+
+
+def test_eval_holds_no_more_with_gold_from_stdin(monkeypatch, tmp_path):
+    gold = tmp_path / "gold.conllu"
+    write_conllu(synth.childes_treebank(1000, seed=5, with_ages=True), gold)
+    argv = ["eval", "--pred", str(gold), "--baseline", str(gold),
+            "--json", str(tmp_path / "eval.json")]
+    from_path = _peak_bytes(argv + ["--gold", str(gold)])
+    # Each run gets a fresh stdin; _peak_bytes runs the command twice.
+    monkeypatch.setattr(sys, "stdin", _Stdin(gold))
+    with_stdin = _peak_bytes(argv + ["--gold", "-"])
+    sys.stdin.close()
+    assert with_stdin <= 1.1 * from_path
 
 
 # ---------------------------------------------------------------------------
