@@ -716,45 +716,46 @@ def _number(kind: type, text: str, what: str, line_no: int):
         ) from None
 
 
-def load_model(source: str | Path | IO) -> ParserModel | TaggerModel:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise ModelFormatError("empty model file")
-    header = lines[0].split("\t")
-    if len(header) != 3 or header[0] != MODEL_MAGIC:
-        raise ModelFormatError(f"bad magic header {lines[0]!r}; expected {MODEL_MAGIC}")
-    kind, version = header[1], _number(int, header[2], "version", 1)
-    if version != FEATURE_TEMPLATE_VERSION:
-        raise ModelFormatError(f"unsupported feature template version {version}")
+def load_model(source: str | Path | bytes | IO) -> ParserModel | TaggerModel:
+    """Read a model file from a path, bytes or a stream, line by line."""
     weights: dict[str, dict[str, float]] = {}
     labels: list[str] = []
     classes: list[str] = []
     tagdict: dict[str, str] = {}
     skipped = 0
-    for line_no, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if fields[0] == "w" and len(fields) == 4:
-            weights.setdefault(fields[1], {})[fields[2]] = _number(
-                float, fields[3], "weight", line_no
-            )
-        elif fields[0] == "label" and len(fields) == 2:
-            labels.append(fields[1])
-        elif fields[0] == "class" and len(fields) == 2:
-            classes.append(fields[1])
-        elif fields[0] == "tagdict" and len(fields) == 3:
-            tagdict[fields[1]] = fields[2]
-        elif fields[0] == "meta" and len(fields) == 3:
-            value = _number(int, fields[2], f"meta {fields[1]}", line_no)
-            if fields[1] == "nonprojective_skipped":
-                skipped = value
-        else:
-            raise ModelFormatError(f"line {line_no}: unrecognized row {line!r}")
+    lines = conllu._lines(source)
+    try:
+        first = next(lines)
+        if not first and next(lines, None) is None:  # the last line of b""
+            raise ModelFormatError("empty model file")
+        header = first.split("\t")
+        if len(header) != 3 or header[0] != MODEL_MAGIC:
+            raise ModelFormatError(f"bad magic header {first!r}; expected {MODEL_MAGIC}")
+        kind, version = header[1], _number(int, header[2], "version", 1)
+        if version != FEATURE_TEMPLATE_VERSION:
+            raise ModelFormatError(f"unsupported feature template version {version}")
+        for line_no, line in enumerate(lines, 2):
+            if not line:
+                continue
+            fields = line.split("\t")
+            if fields[0] == "w" and len(fields) == 4:
+                weights.setdefault(fields[1], {})[fields[2]] = _number(
+                    float, fields[3], "weight", line_no
+                )
+            elif fields[0] == "label" and len(fields) == 2:
+                labels.append(fields[1])
+            elif fields[0] == "class" and len(fields) == 2:
+                classes.append(fields[1])
+            elif fields[0] == "tagdict" and len(fields) == 3:
+                tagdict[fields[1]] = fields[2]
+            elif fields[0] == "meta" and len(fields) == 3:
+                value = _number(int, fields[2], f"meta {fields[1]}", line_no)
+                if fields[1] == "nonprojective_skipped":
+                    skipped = value
+            else:
+                raise ModelFormatError(f"line {line_no}: unrecognized row {line!r}")
+    except conllu.ConlluFormatError as exc:  # the one that _lines raises
+        raise ModelFormatError(exc.reason) from None
     if kind == "parser":
         return ParserModel(weights, labels, version, skipped)
     if kind == "tagger":

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .conllu import Sentence, SpeakerRole
+from .conllu import Sentence, SpeakerRole, _lines
 from .cxntag import CxnLabel
 
 __all__ = [
@@ -91,8 +92,9 @@ def clausal_proportions(
     return {label: count / total for label, count in counts.items()}
 
 
-_CURVE_FIELDS = ["bin_start", "speaker", "label", "count", "proportion",
-                 "n_utterances"]
+# Each column of the curves CSV, with how ``read_curves`` parses it.
+_CURVE_FIELDS = {"bin_start": int, "speaker": SpeakerRole, "label": CxnLabel,
+                 "count": int, "proportion": float, "n_utterances": int}
 
 
 def emit_curves(
@@ -119,18 +121,9 @@ def emit_curves(
             )
 
 
-def read_curves(source: IO) -> list[dict]:
-    """Parse a curves CSV back into row dicts (counts as ints)."""
-    rows = []
-    for row in csv.DictReader(source):
-        rows.append(
-            {
-                "bin_start": int(row["bin_start"]),
-                "speaker": SpeakerRole(row["speaker"]),
-                "label": CxnLabel(row["label"]),
-                "count": int(row["count"]),
-                "proportion": float(row["proportion"]),
-                "n_utterances": int(row["n_utterances"]),
-            }
-        )
-    return rows
+def read_curves(source: str | Path | bytes | IO) -> list[dict]:
+    """Parse a curves CSV, read through the CoNLL-U reader's ``_lines``, back
+    into row dicts (counts as ints)."""
+    rows = csv.DictReader(_lines(source))
+    return [{name: parse(row[name]) for name, parse in _CURVE_FIELDS.items()}
+            for row in rows]

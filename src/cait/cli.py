@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 data or validation errors (diagnostics go to
 stderr), 2 usage errors. Analytic output goes to stdout or to ``--out``
-paths; logs never mix into data streams. "-" means stdin/stdout.
-Identical invocations on identical inputs are byte-identical.
+paths; logs never mix into data streams. "-" means stdout for an output
+(``train --model`` too) and stdin for an input flag, of which at most one
+can be "-". Identical invocations on identical inputs are byte-identical.
 
-Every command but ``train`` reads each input once, one sentence at a
-time, and keeps only what it prints (``lint`` its findings, ``tag-cxn
---gold`` each tag and speaker, ``case-study`` per-bin counts); ``eval``
-reads gold in lockstep with the prediction and the baseline. Each output
-is written into a spool while the input is read and copied to its target
-once the whole input has been read, so a failed read writes nothing.
+Every input, gold labels, lexicon, label map and model included, goes
+through one reader. Every command but ``train`` reads each input once, one
+sentence at a time, and keeps only what it prints (``lint`` its findings,
+``tag-cxn --gold`` each tag and speaker, ``case-study`` per-bin counts);
+``eval`` reads gold in lockstep with the prediction and the baseline. Each
+output is spooled while the inputs are read and copied to its target after
+the last read, so a failed read (``tag-cxn --gold`` too) writes nothing.
 Every command runs in one process: ``--jobs`` has no effect.
 
 Each command loads and computes only what it prints. numpy is loaded by
@@ -52,7 +54,7 @@ class _UsageError(Exception):
 
 
 def _source(path: str):
-    return sys.stdin.buffer if path == "-" else Path(path)
+    return sys.stdin.buffer if path == "-" else path
 
 
 def _sentences(path: str, strictness: Strictness) -> Iterator[Sentence]:
@@ -89,10 +91,10 @@ def _load_lexicon(flag_value: str | None) -> FormulaicLexicon:
     from .cxntag import FormulaicLexicon
 
     # Precedence: flag > environment > packaged default.
-    path = flag_value or os.environ.get(LEXICON_ENV_VAR)
-    if path:
-        return FormulaicLexicon.from_file(path)
-    return FormulaicLexicon.default()
+    if flag_value:
+        return FormulaicLexicon.from_file(_source(flag_value))
+    path = os.environ.get(LEXICON_ENV_VAR)
+    return FormulaicLexicon.from_file(path) if path else FormulaicLexicon.default()
 
 
 def _fmt(value: float | None) -> str:
@@ -110,8 +112,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluation
     from .conllu import Strictness
 
-    if [args.gold, args.pred, args.baseline].count("-") > 1:
-        raise _UsageError("only one of --gold, --pred and --baseline can be '-'")
     # Gold is read once, in lockstep with the prediction and the baseline.
     paths = [args.gold, args.pred] + ([args.baseline] if args.baseline else [])
     tallies = evaluation._tally(*(_sentences(p, Strictness.STRICT) for p in paths))
@@ -214,12 +214,12 @@ def cmd_tag_cxn(args: argparse.Namespace) -> int:
             if args.gold:
                 tags.append(item)
                 speakers[sentence.sent_id] = sentence.speaker_role
+        if args.gold:  # scored inside the block, so a bad gold file writes nothing
+            from .cxntag import _cxn_scores, load_gold_labels
+
+            report = _cxn_scores(tags, load_gold_labels(_source(args.gold)), speakers)
 
     if args.gold:
-        from .cxntag import _cxn_scores, load_gold_labels
-
-        gold = load_gold_labels(args.gold)
-        report = _cxn_scores(tags, gold, speakers)  # the matrix is not printed
         # With --out the data stream is a file, so the summary can take
         # stdout; otherwise keep stdout clean for the TSV.
         summary = sys.stdout if args.out and args.out != "-" else sys.stderr
@@ -317,9 +317,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
     sentences = _sentences(args.input, Strictness.LENIENT)
     try:
-        label_map = (
-            load_label_map(args.label_map) if args.label_map else default_label_map()
-        )
+        label_map = (load_label_map(_source(args.label_map)) if args.label_map
+                     else default_label_map())
     except (OSError, ValueError):
         # A read error comes first, as when the input was read before the map.
         for _ in sentences:
@@ -354,7 +353,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         model = baseline.train_tagger(tb, epochs=args.epochs, seed=args.seed)
         args.log.info("trained tagger on %d sentences", len(tb.sentences))
-    baseline.save_model(model, args.model)
+    with _output(args.model) as sink:
+        baseline.save_model(model, sink)
     return 0
 
 
@@ -362,7 +362,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     from . import baseline  # loads numpy
     from .conllu import Strictness, sentence_text
 
-    model = baseline.load_model(args.model)
+    model = baseline.load_model(_source(args.model))
     if not isinstance(model, baseline.ParserModel):
         raise _UsageError(f"{args.model} is not a parser model")
     # parse's diagnostics are normalize's repairs, then cleanup's attachments.
@@ -386,7 +386,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
     from . import baseline  # loads numpy
     from .conllu import Strictness, sentence_text
 
-    model = baseline.load_model(args.model)
+    model = baseline.load_model(_source(args.model))
     if not isinstance(model, baseline.TaggerModel):
         raise _UsageError(f"{args.model} is not a tagger model")
     with _output(args.out) as tagged:
@@ -525,18 +525,23 @@ def main(argv: list[str] | None = None) -> int:
         log.propagate = saved_propagate
 
 
+# Input flags in existence-check order; train's --model is its output.
+_INPUTS = ("gold", "pred", "input", "baseline", "lexicon", "label_map")
+
+
 def _run(args: argparse.Namespace) -> int:
-    existence_checked = [
-        getattr(args, name, None)
-        for name in ("gold", "pred", "input", "baseline", "lexicon", "label_map")
-    ]
+    inputs = [name for name in _INPUTS if hasattr(args, name)]
     if args.subcommand in ("parse", "tag"):
-        existence_checked.append(args.model)
-    for path in existence_checked:
+        inputs.append("model")
+    paths = [getattr(args, name) for name in inputs]
+    for path in paths:
         if path and path != "-" and not Path(path).exists():
             sys.stderr.write(f"error: no such file: {path}\n")
             return 1
     try:
+        if paths.count("-") > 1:  # stdin can be read only once
+            *flags, last = (f"--{name.replace('_', '-')}" for name in inputs)
+            raise _UsageError(f"only one of {', '.join(flags)} and {last} can be '-'")
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Any, Callable, Iterator, Mapping
 
 __all__ = [
     "Strictness",
@@ -273,38 +273,49 @@ def _extract_metadata(
     return sent_id, text, role, age, diags
 
 
-def table_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+def table_lines(source: str | Path | bytes | IO) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, stripped line) for every line of a
-    table file that is neither blank nor a ``#`` comment."""
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line_no, line
+    table file that is neither blank nor a ``#`` comment. The file is read
+    through ``_lines``; invalid UTF-8 is a ``ValueError`` that names it."""
+    try:
+        for line_no, raw in enumerate(_lines(source), 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield line_no, line
+    except ConlluFormatError as exc:  # the one that _lines raises
+        raise ValueError(f"{_name(source)}: {exc.reason}") from None
 
 
-def table_rows(lines: Iterable[str], source: object) -> Iterator[tuple[int, str, str]]:
-    """Yield (line number, first column, rest) for every row of a
-    two-column table file; a row without a tab is a ``ValueError`` that
-    names ``source`` and the line."""
-    for line_no, line in table_lines(lines):
-        key, tab, value = line.partition("\t")
+def table_map(source: str | Path | bytes | IO, key: Callable[[str], Any],
+              value: Callable[[str], Any], what: str) -> dict:
+    """A two-column table file as ``{key(first column): value(rest)}``, both
+    stripped; a row without a tab, or a value that is not ``what`` (``value``
+    raises ``ValueError``), is a ``ValueError`` naming the file and line."""
+    table = {}
+    for line_no, line in table_lines(source):
+        first, tab, rest = line.partition("\t")
         if not tab:
-            raise ValueError(f"{source}: line {line_no}: no tab in row {line!r}")
-        yield line_no, key, value
-
-
-def load_role_map(source: str | Path) -> dict[str, SpeakerRole]:
-    """Load a two-column TSV mapping speaker codes to CS/CDS/OTHER."""
-    mapping: dict[str, SpeakerRole] = {}
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
-    for line_no, code, role in table_rows(lines, source):
+            raise ValueError(f"{_name(source)}: line {line_no}: no tab in row {line!r}")
         try:
-            mapping[code.strip().lower()] = SpeakerRole(role.strip().upper())
+            table[key(first.strip())] = value(rest.strip())
         except ValueError:
             raise ValueError(
-                f"{source}: line {line_no}: {role.strip()!r} is not a speaker role"
+                f"{_name(source)}: line {line_no}: {rest.strip()!r} is not {what}"
             ) from None
-    return mapping
+    return table
+
+
+def _name(source: str | Path | bytes | IO) -> str:
+    """A path as given, a stream by its ``name`` (``<stdin>``): for errors."""
+    named = isinstance(source, (str, Path))
+    return str(source if named else getattr(source, "name", "<input>"))
+
+
+def load_role_map(source: str | Path | bytes | IO) -> dict[str, SpeakerRole]:
+    """Load a two-column TSV mapping speaker codes to CS/CDS/OTHER."""
+    return table_map(
+        source, str.lower, lambda role: SpeakerRole(role.upper()), "a speaker role"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +357,20 @@ def iter_sentences(
 _CHUNK = io.DEFAULT_BUFFER_SIZE
 
 
-def _blocks(source: str | Path | bytes | IO) -> Iterator[tuple[int, int, list[str]]]:
-    """Yield (first line, closing line, lines) per sentence block, reading
-    ``source`` once: a path (opened in binary mode), bytes, or a binary or
-    text stream, taken as given. Bytes are UTF-8, a leading BOM is skipped,
-    and only ``\n`` ends a line; trailing CRs are dropped, so a line of CRs
-    only is blank. The closing line is the blank line after the block, or
-    the block's first line when the input ends inside it."""
+def _lines(source: str | Path | bytes | IO) -> Iterator[str]:
+    """Yield the lines of ``source``, read once: a path (opened in binary
+    mode), bytes, or a binary or text stream, taken as given. Bytes are
+    UTF-8 (a bad byte is a ``ConlluFormatError`` at line 0 that gives its
+    position in the whole input), a leading BOM is skipped, only ``\n``
+    ends a line and trailing CRs are dropped; the text after the last
+    ``\n``, empty or not, is the last line."""
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     if not hasattr(source, "read"):
         with open(source, "rb") as stream:
-            yield from _blocks(stream)
+            yield from _lines(stream)
         return
-    lines: list[str] = []
-    first = line_no = offset = 0
+    offset = 0
     rest = source.read(0)
     newline = b"\n" if isinstance(rest, bytes) else "\n"
     while True:
@@ -382,19 +392,9 @@ def _blocks(source: str | Path | bytes | IO) -> Iterator[tuple[int, int, list[st
         if chunk:
             split.pop()  # the empty string after the piece's last newline
         for line in split:
-            line_no += 1
-            line = line.rstrip("\r")
-            if line:
-                if not lines:
-                    first = line_no
-                lines.append(line)
-            elif lines:
-                yield first, line_no, lines
-                lines = []
+            yield line.rstrip("\r")
         if not chunk:
-            break
-    if lines:
-        yield first, first, lines
+            return
 
 
 def _decode_error(exc: UnicodeDecodeError, offset: int) -> ConlluFormatError:
@@ -406,6 +406,24 @@ def _decode_error(exc: UnicodeDecodeError, offset: int) -> ConlluFormatError:
         where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
     reason = f"'utf-8' codec can't decode {where}: {exc.reason}"
     return ConlluFormatError(f"input is not valid UTF-8: {reason}", 0)
+
+
+def _blocks(source: str | Path | bytes | IO) -> Iterator[tuple[int, int, list[str]]]:
+    """Yield (first line, closing line, lines) per sentence block of the
+    ``_lines`` of ``source``. The closing line is the blank line after the
+    block, or the block's first line when the input ends inside it."""
+    lines: list[str] = []
+    first = 0
+    for line_no, line in enumerate(_lines(source), 1):
+        if line:
+            if not lines:
+                first = line_no
+            lines.append(line)
+        elif lines:
+            yield first, line_no, lines
+            lines = []
+    if lines:
+        yield first, first, lines
 
 
 def _read(
@@ -940,17 +958,13 @@ def _shallowest_cycle_free(toks: list[Token]) -> Token:
 # Label maps
 # ---------------------------------------------------------------------------
 
-def _parse_label_map(text: str, source: object) -> dict[str, str]:
-    rows = table_rows(text.splitlines(), source)
-    return {src.strip(): dst.strip() for _, src, dst in rows}
-
-
-def load_label_map(source: str | Path) -> dict[str, str]:
+def load_label_map(source: str | Path | bytes | IO) -> dict[str, str]:
     """Load a two-column TSV (source_label TAB ud_label) deprel map."""
-    return _parse_label_map(Path(source).read_text(encoding="utf-8"), source)
+    return table_map(source, str, str, "a label")
 
 
 def default_label_map() -> dict[str, str]:
     """The packaged ClearNLP-style to UD v2 deprel correspondence."""
     data = resources.files("cait").joinpath("data/deprel_map_clearnlp.tsv")
-    return _parse_label_map(data.read_text(encoding="utf-8"), data)
+    with data.open("rb") as stream:
+        return load_label_map(stream)

@@ -30,7 +30,7 @@ from .conllu import (
     detokenize,
     iter_sentences,
     table_lines,
-    table_rows,
+    table_map,
 )
 
 if TYPE_CHECKING:
@@ -157,20 +157,17 @@ class FormulaicLexicon:
         return normalize_utterance(text) in self.patterns
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "FormulaicLexicon":
-        patterns = (normalize_utterance(line) for _, line in table_lines(lines))
+    def from_file(cls, source: str | Path | bytes | IO) -> "FormulaicLexicon":
+        patterns = (normalize_utterance(line) for _, line in table_lines(source))
         return cls(frozenset(patterns))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "FormulaicLexicon":
-        return cls.from_lines(Path(path).read_text(encoding="utf-8").splitlines())
 
     @classmethod
     @cache
     def default(cls) -> "FormulaicLexicon":
         """The packaged lexicon, read once per process."""
         data = resources.files("cait").joinpath("data/formulaic_lexicon.txt")
-        return cls.from_lines(data.read_text(encoding="utf-8").splitlines())
+        with data.open("rb") as stream:
+            return cls.from_file(stream)
 
 
 @dataclass
@@ -910,19 +907,9 @@ class CxnEvalReport:
     n: int = 0
 
 
-def load_gold_labels(source: str | Path) -> dict[str, CxnLabel]:
+def load_gold_labels(source: str | Path | bytes | IO) -> dict[str, CxnLabel]:
     """Read a two-column gold TSV: sent_id TAB label."""
-    gold: dict[str, CxnLabel] = {}
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
-    for line_no, sent_id, label in table_rows(lines, source):
-        try:
-            gold[sent_id.strip()] = CxnLabel(label.strip())
-        except ValueError:
-            raise ValueError(
-                f"{source}: line {line_no}: {label.strip()!r} is not a "
-                "construction label"
-            ) from None
-    return gold
+    return table_map(source, str, CxnLabel, "a construction label")
 
 
 def cxn_accuracy(
