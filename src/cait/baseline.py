@@ -699,6 +699,10 @@ def save_model(model: ParserModel | TaggerModel, sink: str | Path | IO) -> None:
         row = model.weights[feature]
         for cls in sorted(row):
             lines.append(f"w\t{feature}\t{cls}\t{row[cls]!r}")
+    for line in lines:  # the reader drops a line's trailing CRs
+        if line.endswith("\r"):
+            kind, *_, value = line.split("\t")
+            raise ValueError(f"cannot save {kind} {value!r}: it ends in a carriage return")
     text = "\n".join(lines) + "\n"
     if hasattr(sink, "write"):
         sink.write(text)

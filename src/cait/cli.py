@@ -9,10 +9,12 @@ can be "-". Identical invocations on identical inputs are byte-identical.
 Every input, gold labels, lexicon, label map and model included, goes
 through one reader. Every command but ``train`` reads each input once, one
 sentence at a time, and keeps only what it prints (``lint`` its findings,
-``tag-cxn --gold`` each tag and speaker, ``case-study`` per-bin counts);
-``eval`` reads gold in lockstep with the prediction and the baseline. Each
-output is spooled while the inputs are read and copied to its target after
-the last read, so a failed read (``tag-cxn --gold`` too) writes nothing.
+``tag-cxn --gold`` each tag and speaker, ``case-study`` per-bin counts,
+``eval`` integer counters per speaker and length plus each sentence's LAS
+and UAS for the t-test); ``eval`` reads gold in lockstep with the
+prediction and the baseline. Each output is spooled while the inputs are
+read and copied to its target after the last read, so a failed read
+(``tag-cxn --gold`` too) writes nothing.
 Every command runs in one process: ``--jobs`` has no effect.
 
 Each command loads and computes only what it prints. numpy is loaded by
@@ -97,10 +99,6 @@ def _load_lexicon(flag_value: str | None) -> FormulaicLexicon:
     return FormulaicLexicon.from_file(path) if path else FormulaicLexicon.default()
 
 
-def _fmt(value: float | None) -> str:
-    return "-" if value is None else f"{value:.2f}"
-
-
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -115,25 +113,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # Gold is read once, in lockstep with the prediction and the baseline.
     paths = [args.gold, args.pred] + ([args.baseline] if args.baseline else [])
     tallies = evaluation._tally(*(_sentences(p, Strictness.STRICT) for p in paths))
-    report = evaluation._report(next(tallies))
+    pred = next(tallies)
+    report = pred.report()
 
     ttest_payload = None
-    if args.baseline:
-        # The t-test reads only the baseline's sentence scores.
-        base_scores = next(tallies).scores
-
-        def pct(scores, attr):
-            return [
-                100.0 * getattr(s, attr) / s.n_scored if s.n_scored else 100.0
-                for s in scores
-            ]
-
-        ttest_payload = {}
-        for name, attr in (("las", "n_las_correct"), ("uas", "n_head_correct")):
-            result = evaluation.paired_ttest(
-                pct(report.per_sentence, attr), pct(base_scores, attr)
-            )
-            ttest_payload[name] = asdict(result)
+    if args.baseline:  # the t-test reads each sentence's LAS and UAS only
+        base = next(tallies)
+        ttest_payload = {
+            "las": asdict(evaluation.paired_ttest(pred.las, base.las)),
+            "uas": asdict(evaluation.paired_ttest(pred.uas, base.uas)),
+        }
 
     if args.json:
         payload = {
@@ -152,18 +141,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
             sink.write("\n")
     else:
         out = sys.stdout
-        out.write(f"LAS  {_fmt(report.las)}\n")
-        out.write(f"UAS  {_fmt(report.uas)}\n")
-        out.write(f"EM   {_fmt(report.em)}\n")
-        out.write(f"UEM  {_fmt(report.uem)}\n")
-        if report.upos_acc is not None:
-            out.write(f"UPOS {_fmt(report.upos_acc)}\n")
-        if report.xpos_acc is not None:
-            out.write(f"XPOS {_fmt(report.xpos_acc)}\n")
+        for name, value in (("LAS ", report.las), ("UAS ", report.uas),
+                            ("EM  ", report.em), ("UEM ", report.uem),
+                            ("UPOS", report.upos_acc), ("XPOS", report.xpos_acc)):
+            if value is not None:  # a tag accuracy is None for untagged predictions
+                out.write(f"{name} {value:.2f}\n")
         for name, s in report.slices.items():
             out.write(
-                f"slice {name}\tLAS {_fmt(s.las)}\tUAS {_fmt(s.uas)}"
-                f"\tn {s.n_sentences}\n"
+                f"slice {name}\tLAS {s.las:.2f}\tUAS {s.uas:.2f}\tn {s.n_sentences}\n"
             )
 
     if args.tsv:

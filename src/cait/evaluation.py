@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -106,6 +107,7 @@ class EvalReport:
     uem: float
     upos_acc: float | None = None
     xpos_acc: float | None = None
+    # filled by ``aggregate`` and ``evaluate_treebanks``; ``cait eval`` keeps none
     per_sentence: list[SentencePairScore] = field(default_factory=list)
     slices: dict[str, SliceScore] = field(default_factory=dict)
     # (gold deprel, predicted deprel, head correct) -> aligned tokens
@@ -202,58 +204,76 @@ def _score_pairs(
 def aggregate(scores: Sequence[SentencePairScore]) -> EvalReport:
     """Micro-averaged LAS/UAS over token totals plus sentence-level EM/UEM,
     with CS/CDS slices and the four length bins crossed with speaker."""
-    if not scores:
-        raise ValueError("cannot aggregate an empty score list")
+    tally = _Tally(keep_scores=True)
+    for score in scores:
+        tally.add(score)
+    return tally.report()
 
-    def micro(subset: Sequence[SentencePairScore]) -> SliceScore:
-        tokens = sum(s.n_scored for s in subset)
-        heads = sum(s.n_head_correct for s in subset)
-        las = sum(s.n_las_correct for s in subset)
+
+def _slice(sentences: int, tokens: int, heads: int, las: int, *_: int) -> SliceScore:
+    if tokens == 0:
+        return SliceScore(0.0, 0.0, sentences)
+    return SliceScore(100.0 * las / tokens, 100.0 * heads / tokens, sentences)
+
+
+class _Tally:
+    """One fold of a prediction's scored sentence pairs. ``counts`` maps
+    (speaker role, length without punctuation) to sentences, tokens, correct
+    heads, correct heads and labels, exact and unlabeled-exact sentences;
+    ``las`` and ``uas`` are each pair's percentages, in order, for the
+    t-test. ``scores`` keeps the scores themselves only if asked."""
+
+    def __init__(self, keep_scores: bool = False):
+        self.counts: dict[tuple[SpeakerRole, int], list[int]] = {}
+        self.las, self.uas = array("d"), array("d")
+        self.scores: list[SentencePairScore] | None = [] if keep_scores else None
+        self.agree: Counter[str] = Counter()  # tag field -> equal aligned tokens
+        self.predicted: set[str] = set()  # tag fields filled (not "_") somewhere
+        self.deprels: Counter[tuple[str, str, bool]] = Counter()  # gold, pred, head ok
+
+    def add(self, score: SentencePairScore) -> None:
+        n, heads, las = score.n_scored, score.n_head_correct, score.n_las_correct
+        key = (score.speaker_role, score.length_nopunct)
+        cell = self.counts.setdefault(key, [0] * 6)
+        cell[0] += 1
+        cell[1] += n
+        cell[2] += heads
+        cell[3] += las
+        cell[4] += bool(score.exact)
+        cell[5] += bool(score.unlabeled_exact)
+        self.las.append(100.0 * las / n if n else 100.0)
+        self.uas.append(100.0 * heads / n if n else 100.0)
+        if self.scores is not None:
+            self.scores.append(score)
+
+    def total(self, role=None, lo=-math.inf, hi=math.inf) -> tuple[int, ...]:
+        """The summed counts of ``role`` (of all for None), lengths lo to hi."""
+        counts = self.counts.items()
+        cells = [c for (r, n), c in counts if role in (None, r) and lo <= n <= hi]
+        return tuple(map(sum, zip((0,) * 6, *cells)))
+
+    def report(self) -> EvalReport:
+        """``aggregate`` of the folded scores, with the deprel counts and the
+        tag accuracies of the tag fields the prediction fills."""
+        if not self.counts:
+            raise ValueError("cannot aggregate an empty score list")
+        sentences, tokens, heads, las, exact, unlabeled_exact = self.total()
         if tokens == 0:
-            return SliceScore(0.0, 0.0, len(subset))
-        return SliceScore(100.0 * las / tokens, 100.0 * heads / tokens, len(subset))
-
-    overall = micro(scores)
-    if sum(s.n_scored for s in scores) == 0:
-        raise ValueError("no scored tokens")
-    em = 100.0 * sum(1 for s in scores if s.exact) / len(scores)
-    uem = 100.0 * sum(1 for s in scores if s.unlabeled_exact) / len(scores)
-
-    slices: dict[str, SliceScore] = {}
-    for role in (SpeakerRole.CS, SpeakerRole.CDS):
-        subset = [s for s in scores if s.speaker_role is role]
-        slices[role.value] = micro(subset)
-    for role in (SpeakerRole.CS, SpeakerRole.CDS):
-        for name, lo, hi in LENGTH_BINS:
-            subset = [
-                s
-                for s in scores
-                if s.speaker_role is role and lo <= s.length_nopunct <= hi
-            ]
-            slices[f"{role.value}:{name}"] = micro(subset)
-
-    return EvalReport(
-        las=overall.las,
-        uas=overall.uas,
-        em=em,
-        uem=uem,
-        per_sentence=list(scores),
-        slices=slices,
-    )
-
-
-class _Tally(NamedTuple):
-    """What one pass over the aligned sentence pairs counts; every
-    treebank-level score is a view of it."""
-
-    scores: list[SentencePairScore]
-    agree: Counter[str]  # tag field -> aligned tokens with equal values
-    predicted: set[str]  # tag fields the prediction fills (not "_") somewhere
-    deprels: Counter[tuple[str, str, bool]]  # (gold, predicted, head correct)
-
-    @property
-    def tokens(self) -> int:
-        return sum(s.n_scored for s in self.scores)
+            raise ValueError("no scored tokens")
+        roles = (SpeakerRole.CS, SpeakerRole.CDS)
+        slices = {role.value: _slice(*self.total(role)) for role in roles}
+        slices.update((f"{role.value}:{name}", _slice(*self.total(role, lo, hi)))
+                      for role in roles for name, lo, hi in LENGTH_BINS)
+        report = EvalReport(
+            las=100.0 * las / tokens, uas=100.0 * heads / tokens,
+            em=100.0 * exact / sentences, uem=100.0 * unlabeled_exact / sentences,
+            per_sentence=self.scores or [], slices=slices, deprel_counts=self.deprels,
+        )
+        if "upos" in self.predicted:
+            report.upos_acc = 100.0 * self.agree["upos"] / tokens
+        if "xpos" in self.predicted:
+            report.xpos_acc = 100.0 * self.agree["xpos"] / tokens
+        return report
 
 
 class _Stream:
@@ -261,11 +281,11 @@ class _Stream:
     which is kept for ``_tally`` to raise in its turn. For a prediction it
     also keeps what was scored on it and the first pair that did not align."""
 
-    def __init__(self, sentences: Iterable[Sentence]):
+    def __init__(self, sentences: Iterable[Sentence], keep_scores: bool = False):
         self._sentences = iter(sentences)
         self.count = 0
         self.error: ConlluError | OSError | None = None
-        self.tally = _Tally([], Counter(), set(), Counter())
+        self.tally = _Tally(keep_scores)
         self.pair_error: AlignmentError | None = None
 
     def __iter__(self) -> Iterator[Sentence]:
@@ -277,21 +297,17 @@ class _Stream:
             except (ConlluError, OSError) as exc:
                 self.error = exc
 
-    def drain(self) -> None:
-        for _ in self:
-            pass
-
     def score(
         self, gsent: Sentence, psent: Sentence, universal_deprel_only: bool
     ) -> None:
-        """Align the pair once and count everything scored on it."""
+        """Align the pair once and fold everything scored on it."""
         try:
             pairs = align(gsent, psent)
         except AlignmentError as exc:
             self.pair_error = exc
             return
         tally = self.tally
-        tally.scores.append(_score_pairs(gsent, pairs, universal_deprel_only))
+        tally.add(_score_pairs(gsent, pairs, universal_deprel_only))
         tally.agree["upos"] += sum(g.upos == p.upos for g, p in pairs)
         tally.agree["xpos"] += sum(g.xpos == p.xpos for g, p in pairs)
         if any(p.upos != "_" for _, p in pairs):
@@ -305,10 +321,12 @@ def _tally(
     gold: Iterable[Sentence],
     *preds: Iterable[Sentence],
     universal_deprel_only: bool = False,
+    keep_scores: bool = False,
 ) -> Iterator[_Tally]:
     """Yield one tally per prediction, in order. Gold is read once, in
     lockstep with every prediction, and each pair is aligned once, as it is
-    taken, so that no sentence or alignment outlives its pairs.
+    taken, so that no sentence or alignment outlives its pairs; each pair's
+    ``SentencePairScore`` is kept only with ``keep_scores``.
 
     A prediction stops scoring at its first error while the others go on,
     and every input is read to its end or to its own read error. A gold
@@ -318,14 +336,15 @@ def _tally(
     gold and each prediction whole before scoring them.
     """
     golds = _Stream(gold)
-    streams = [_Stream(pred) for pred in preds]
+    streams = [_Stream(pred, keep_scores) for pred in preds]
     readers = [iter(stream) for stream in streams]
     for gsent in golds:
         for stream, reader in zip(streams, readers):
             if stream.pair_error is None and (psent := next(reader, None)) is not None:
                 stream.score(gsent, psent, universal_deprel_only)
     for stream in (golds, *streams):
-        stream.drain()
+        for _ in stream:  # to its end or to its read error
+            pass
     if golds.error is not None:
         raise golds.error
     for stream in streams:
@@ -349,9 +368,10 @@ def tag_accuracy(
     if tagfield not in ("upos", "xpos"):
         raise ValueError(f"tagfield must be 'upos' or 'xpos', got {tagfield!r}")
     tally = next(_tally(gold, pred))
-    if tally.tokens == 0:
+    tokens = tally.total()[1]
+    if tokens == 0:
         raise ValueError("no tokens to score")
-    return 100.0 * tally.agree[tagfield] / tally.tokens
+    return 100.0 * tally.agree[tagfield] / tokens
 
 
 def evaluate_treebanks(
@@ -366,20 +386,10 @@ def evaluate_treebanks(
 
     ``gold`` and ``pred`` are treebanks or any sentence iterables, such as
     two ``iter_sentences`` streams, which are read in lockstep."""
-    tallies = _tally(gold, pred, universal_deprel_only=universal_deprel_only)
-    return _report(next(tallies))
-
-
-def _report(tally: _Tally) -> EvalReport:
-    """``aggregate`` of the tally's scores, with its deprel counts and the
-    tag accuracies of the tag fields the prediction fills."""
-    report = aggregate(tally.scores)  # raises unless tally.tokens > 0
-    report.deprel_counts = tally.deprels
-    if "upos" in tally.predicted:
-        report.upos_acc = 100.0 * tally.agree["upos"] / tally.tokens
-    if "xpos" in tally.predicted:
-        report.xpos_acc = 100.0 * tally.agree["xpos"] / tally.tokens
-    return report
+    tallies = _tally(
+        gold, pred, universal_deprel_only=universal_deprel_only, keep_scores=True
+    )
+    return next(tallies).report()
 
 
 # ---------------------------------------------------------------------------

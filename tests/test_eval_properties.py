@@ -5,14 +5,15 @@
 (``reference_evaluation``) gives, exceptions and messages included, on
 generated gold/predicted treebanks with differing forms, token counts and
 sentence counts; their aggregates must not depend on sentence order; and
-``evaluate_treebanks`` must align each sentence pair once.
+``evaluate_treebanks`` must align each sentence pair once. ``aggregate``
+must give what the reference gives on hand-built score lists.
 """
 
 import random
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_evaluation
@@ -143,3 +144,39 @@ def test_each_function_aligns_each_pair_once(monkeypatch, name, args):
     monkeypatch.setattr(evaluation, "align", counting_align)
     getattr(evaluation, name)(gold, pred, *args)
     assert aligned == [(s.sent_id, s.sent_id) for s in gold.sentences]
+
+
+@st.composite
+def score_lists(draw):
+    """Hand-built scores, as a caller may make them: no tokens, every
+    speaker role, every length bin and a length that fits no bin."""
+    scores = []
+    for i in range(draw(st.integers(0, 12))):
+        n = draw(st.integers(0, 6))
+        heads = draw(st.integers(0, n))
+        las = draw(st.integers(0, heads))
+        scores.append(evaluation.SentencePairScore(
+            sent_id=f"s{i}",
+            n_scored=n,
+            n_head_correct=heads,
+            n_las_correct=las,
+            exact=draw(st.booleans()),
+            unlabeled_exact=draw(st.booleans()),
+            speaker_role=draw(st.sampled_from(list(SpeakerRole))),
+            length_nopunct=draw(st.sampled_from((-1, 0, 3, 4, 6, 7, 10, 11, 40))),
+        ))
+    return scores
+
+
+def _no_tokens(role, length):
+    return evaluation.SentencePairScore("z", 0, 0, 0, True, True, role, length)
+
+
+@settings(max_examples=300)
+@given(score_lists())
+@example([])
+@example([_no_tokens(SpeakerRole.OTHER, -1), _no_tokens(SpeakerRole.CS, 0)])
+def test_aggregate_matches_the_reference(scores):
+    assert _outcome(evaluation.aggregate, scores) == _outcome(
+        reference_evaluation.aggregate, scores
+    )

@@ -5,7 +5,8 @@ files follow the CoNLL-U newline rule: a leading BOM is skipped, only
 ``\\n`` ends a line, and invalid UTF-8 is an error that names the file.
 Every input flag reads stdin for "-", at most one per command, and
 ``train --model -`` writes the model to stdout. A ``tag-cxn --gold`` step
-that fails writes nothing.
+that fails writes nothing, and neither does a ``train`` whose model has a
+value that would not load back.
 """
 
 import ast
@@ -20,7 +21,7 @@ import pytest
 
 from cait import baseline
 from cait.cli import main
-from cait.conllu import default_label_map, load_label_map, load_role_map
+from cait.conllu import default_label_map, load_label_map, load_role_map, write_conllu
 from cait.cxntag import FormulaicLexicon, load_gold_labels
 from synth import childes_treebank
 
@@ -103,6 +104,43 @@ def test_undecodable_model_file():
         "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in "
         "position 16: invalid start byte"
     )
+
+
+def _cr_treebank(field: str):
+    """A treebank whose every ``field`` value but the root's ends in a CR."""
+    tb = childes_treebank(20, seed=3)
+    for sentence in tb.sentences:
+        for tok in sentence.tokens:
+            if tok.deprel != "root":
+                setattr(tok, field, getattr(tok, field) + "\r")
+    return tb
+
+
+@pytest.mark.parametrize("model, message", [
+    (lambda: baseline.train_parser(_cr_treebank("deprel"), epochs=1),
+     "cannot save label 'advmod\\r': it ends in a carriage return"),
+    (lambda: baseline.train_tagger(_cr_treebank("upos"), epochs=1),
+     "cannot save class 'AUX\\r': it ends in a carriage return"),
+    (lambda: baseline.TaggerModel({}, {"dog": "NOUN\r"}, ["NOUN"]),
+     "cannot save tagdict 'NOUN\\r': it ends in a carriage return"),
+])
+def test_save_model_refuses_a_last_field_ending_in_a_cr(tmp_path, model, message):
+    path = tmp_path / "m.model"
+    with pytest.raises(ValueError) as info:
+        baseline.save_model(model(), path)
+    assert str(info.value) == message
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind, field", [("parser", "deprel"), ("tagger", "upos")])
+def test_train_writes_no_model_it_cannot_load_back(capsys, tmp_path, kind, field):
+    data, model = tmp_path / "cr.conllu", tmp_path / "m.model"
+    write_conllu(_cr_treebank(field), data)
+    code, out, err = run(capsys, "train", "--input", str(data), "--model",
+                         str(model), "--kind", kind, "--epochs", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot save ") and err.count("\n") == 1
+    assert not model.exists()
 
 
 # ---------------------------------------------------------------------------

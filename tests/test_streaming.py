@@ -339,6 +339,16 @@ def test_eval_with_baseline_holds_no_treebank(tmp_path):
     assert _peak_bytes(argv) < 10 * gold.stat().st_size
 
 
+def test_eval_keeps_counters_not_per_sentence_scores(tmp_path):
+    # Beyond what validate holds, eval keeps two floats a sentence for
+    # each prediction and no per-sentence score objects.
+    data = tmp_path / "in.conllu"
+    write_conllu(synth.childes_treebank(4000, with_ages=True), data)
+    validate_peak = _peak_bytes(["validate", "--input", str(data)])
+    argv = ["eval", "--gold", str(data), "--pred", str(data), "--baseline", str(data)]
+    assert _peak_bytes(argv) <= 3 * validate_peak
+
+
 @pytest.mark.parametrize("command", ["normalize", "parse"])
 def test_a_rewriting_command_holds_no_treebank(tmp_path, models, command):
     data = tmp_path / "in.conllu"
