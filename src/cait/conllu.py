@@ -10,6 +10,7 @@ leniently-read sentence into a valid tree.
 from __future__ import annotations
 
 import io
+import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -239,7 +240,7 @@ def parse_chat_age(value: str) -> float | None:
         age = float(value)
     except ValueError:
         return None
-    return age if age >= 0 else None
+    return age if math.isfinite(age) and age >= 0 else None
 
 
 def _metadata_item(comment: str) -> tuple[str, str]:
@@ -834,12 +835,9 @@ def normalize(
             if tok.deprel == "root":
                 tok.deprel = "dep"
 
-    # Break remaining cycles: smallest-id member re-heads to the root.
-    while True:
-        cycles = _find_cycles(toks)
-        if not cycles:
-            break
-        members = sorted(min(cycles, key=min))
+    # Break remaining cycles: smallest-id member re-heads to the root. The
+    # cycles are disjoint, and a re-head to the root makes no new one.
+    for members in sorted(map(sorted, _find_cycles(toks))):
         fix = by_id[members[0]]
         diags.append(
             Diagnostic(

@@ -27,6 +27,7 @@ from .conllu import (
     Token,
     Treebank,
     _metadata_item,
+    _name,
     detokenize,
     iter_sentences,
     table_lines,
@@ -158,8 +159,10 @@ class FormulaicLexicon:
 
     @classmethod
     def from_file(cls, source: str | Path | bytes | IO) -> "FormulaicLexicon":
-        patterns = (normalize_utterance(line) for _, line in table_lines(source))
-        return cls(frozenset(patterns))
+        patterns = frozenset(normalize_utterance(line) for _, line in table_lines(source))
+        if not patterns:
+            raise ValueError(f"{_name(source)}: formulaic lexicon must not be empty")
+        return cls(patterns)
 
     @classmethod
     @cache

@@ -168,37 +168,13 @@ def align(gold: Sentence, pred: Sentence) -> _Pairs:
 def score_sentence(
     gold: Sentence, pred: Sentence, *, universal_deprel_only: bool = False
 ) -> SentencePairScore:
-    """Count head-correct and label-and-head-correct tokens.
+    """Count head-correct and label-and-head-correct tokens in one walk.
 
     Deprel comparison is exact including subtypes unless
     ``universal_deprel_only`` is set. Punctuation is scored; it is only
     excluded from ``length_nopunct``.
     """
-    return _score_pairs(gold, align(gold, pred), universal_deprel_only)
-
-
-def _score_pairs(
-    gold: Sentence, pairs: _Pairs, universal_deprel_only: bool
-) -> SentencePairScore:
-    n_scored = len(pairs)
-    n_head = n_las = 0
-    for g, p in pairs:
-        if g.head == p.head:
-            n_head += 1
-            if universal_deprel_only:
-                n_las += g.deprel_base == p.deprel_base
-            else:
-                n_las += g.deprel == p.deprel
-    return SentencePairScore(
-        sent_id=gold.sent_id,
-        n_scored=n_scored,
-        n_head_correct=n_head,
-        n_las_correct=n_las,
-        exact=n_las == n_scored,
-        unlabeled_exact=n_head == n_scored,
-        speaker_role=gold.speaker_role,
-        length_nopunct=sum(1 for g, _ in pairs if g.upos != "PUNCT"),
-    )
+    return _Tally().fold(gold, align(gold, pred), universal_deprel_only)
 
 
 def aggregate(scores: Sequence[SentencePairScore]) -> EvalReport:
@@ -221,15 +197,47 @@ class _Tally:
     (speaker role, length without punctuation) to sentences, tokens, correct
     heads, correct heads and labels, exact and unlabeled-exact sentences;
     ``las`` and ``uas`` are each pair's percentages, in order, for the
-    t-test. ``scores`` keeps the scores themselves only if asked."""
+    t-test. ``scores`` keeps the scores themselves only if asked. ``fold``
+    counts all of these, and the tag and deprel counters, in one walk."""
 
     def __init__(self, keep_scores: bool = False):
         self.counts: dict[tuple[SpeakerRole, int], list[int]] = {}
         self.las, self.uas = array("d"), array("d")
         self.scores: list[SentencePairScore] | None = [] if keep_scores else None
         self.agree: Counter[str] = Counter()  # tag field -> equal aligned tokens
-        self.predicted: set[str] = set()  # tag fields filled (not "_") somewhere
+        self.filled: Counter[str] = Counter()  # tag field -> predicted, not "_"
         self.deprels: Counter[tuple[str, str, bool]] = Counter()  # gold, pred, head ok
+
+    def fold(
+        self, gold: Sentence, pairs: _Pairs, universal_deprel_only: bool
+    ) -> SentencePairScore:
+        """Score ``gold``'s aligned pairs in one walk, fold the score with
+        the pairs' tag and deprel counts, and return it."""
+        heads = las = nopunct = upos = xpos = upos_filled = xpos_filled = 0
+        deprels = self.deprels
+        for g, p in pairs:
+            head_ok = g.head == p.head
+            if head_ok:
+                heads += 1
+                if universal_deprel_only:
+                    las += g.deprel_base == p.deprel_base
+                else:
+                    las += g.deprel == p.deprel
+            nopunct += g.upos != "PUNCT"
+            upos += g.upos == p.upos
+            xpos += g.xpos == p.xpos
+            upos_filled += p.upos != "_"
+            xpos_filled += p.xpos != "_"
+            deprels[g.deprel, p.deprel, head_ok] += 1
+        self.agree["upos"] += upos
+        self.agree["xpos"] += xpos
+        self.filled["upos"] += upos_filled
+        self.filled["xpos"] += xpos_filled
+        n = len(pairs)
+        score = SentencePairScore(gold.sent_id, n, heads, las, las == n, heads == n,
+                                  gold.speaker_role, nopunct)
+        self.add(score)
+        return score
 
     def add(self, score: SentencePairScore) -> None:
         n, heads, las = score.n_scored, score.n_head_correct, score.n_las_correct
@@ -269,9 +277,9 @@ class _Tally:
             em=100.0 * exact / sentences, uem=100.0 * unlabeled_exact / sentences,
             per_sentence=self.scores or [], slices=slices, deprel_counts=self.deprels,
         )
-        if "upos" in self.predicted:
+        if self.filled["upos"]:
             report.upos_acc = 100.0 * self.agree["upos"] / tokens
-        if "xpos" in self.predicted:
+        if self.filled["xpos"]:
             report.xpos_acc = 100.0 * self.agree["xpos"] / tokens
         return report
 
@@ -296,25 +304,6 @@ class _Stream:
                     yield sentence
             except (ConlluError, OSError) as exc:
                 self.error = exc
-
-    def score(
-        self, gsent: Sentence, psent: Sentence, universal_deprel_only: bool
-    ) -> None:
-        """Align the pair once and fold everything scored on it."""
-        try:
-            pairs = align(gsent, psent)
-        except AlignmentError as exc:
-            self.pair_error = exc
-            return
-        tally = self.tally
-        tally.add(_score_pairs(gsent, pairs, universal_deprel_only))
-        tally.agree["upos"] += sum(g.upos == p.upos for g, p in pairs)
-        tally.agree["xpos"] += sum(g.xpos == p.xpos for g, p in pairs)
-        if any(p.upos != "_" for _, p in pairs):
-            tally.predicted.add("upos")
-        if any(p.xpos != "_" for _, p in pairs):
-            tally.predicted.add("xpos")
-        tally.deprels.update((g.deprel, p.deprel, g.head == p.head) for g, p in pairs)
 
 
 def _tally(
@@ -341,7 +330,10 @@ def _tally(
     for gsent in golds:
         for stream, reader in zip(streams, readers):
             if stream.pair_error is None and (psent := next(reader, None)) is not None:
-                stream.score(gsent, psent, universal_deprel_only)
+                try:
+                    stream.tally.fold(gsent, align(gsent, psent), universal_deprel_only)
+                except AlignmentError as exc:
+                    stream.pair_error = exc
     for stream in (golds, *streams):
         for _ in stream:  # to its end or to its read error
             pass

@@ -68,7 +68,7 @@ def parse_chat_age(value: str) -> float | None:
         age = float(value)
     except ValueError:
         return None
-    return age if age >= 0 else None
+    return age if 0 <= age < float("inf") else None
 
 
 def _extract_metadata(

@@ -283,6 +283,23 @@ def test_tag_cxn_custom_lexicon_flag_beats_env(
     assert by_id_env["for-01"] == "FRA"
 
 
+@pytest.mark.parametrize("content", ["", "# only a comment\n\n"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_empty_lexicon_names_the_file(
+    capsys, tmp_path, fixture_conllu, monkeypatch, content, via
+):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text(content, encoding="utf-8")
+    argv = ["tag-cxn", "--input", str(fixture_conllu)]
+    if via == "flag":
+        argv += ["--lexicon", str(lexicon)]
+    else:
+        monkeypatch.setenv("CAIT_LEXICON", str(lexicon))
+    assert run(capsys, *argv) == (
+        1, "", f"error: {lexicon}: formulaic lexicon must not be empty\n"
+    )
+
+
 def test_tag_cxn_pos_backend(capsys, fixture_conllu):
     code, out, _ = run(
         capsys, "tag-cxn", "--input", str(fixture_conllu), "--backend", "pos",
@@ -364,6 +381,21 @@ def test_case_study_curves(capsys, tmp_path):
     )
     lines = out_csv.read_text(encoding="utf-8").strip().split("\n")
     assert any(",FRA," in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("age", ["inf", "infinity", "1e400"])
+def test_case_study_unbins_a_non_finite_age(capsys, tmp_path, age):
+    path = tmp_path / "aged.conllu"
+    path.write_text("".join(
+        f"# sent_id = {sid}\n# speaker = CHI\n# child_age = {value}\n"
+        f"1\t{form}\t{form}\tINTJ\t_\t_\t0\troot\t_\t_\n\n"
+        for sid, value, form in (("s1", "2;00", "yes"), ("s2", age, "no"))
+    ), encoding="utf-8")
+    code, out, err = run(capsys, "--log-level", "info", "case-study", "--input",
+                         str(path), "--include-nonclausal")
+    assert code == 0
+    assert "binned 1 utterances into 1 cells; 1 unbinned" in err
+    assert out.splitlines()[1:] == ["24,CS,FRA,1,1.000000,1"]
 
 
 def test_case_study_width_below_one_is_usage_error(capsys, corpus_path):

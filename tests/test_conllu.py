@@ -119,6 +119,17 @@ def test_parse_chat_age_forms():
     assert parse_chat_age("nonsense") is None
 
 
+@pytest.mark.parametrize("age", ["inf", "Infinity", "1e400", "-inf", "nan"])
+def test_non_finite_age_is_bad_age(age):
+    assert parse_chat_age(age) is None
+    text = f"# sent_id = s1\n# child_age = {age}\n1\tyes\tyes\tINTJ\t_\t_\t0\troot\t_\t_\n"
+    (sentence,) = read_conllu(text.encode(), Strictness.LENIENT).sentences
+    assert sentence.child_age_months is None
+    assert [(d.code, d.message) for d in sentence.diagnostics] == [
+        ("bad-age", f"unparseable age {age!r}")
+    ]
+
+
 def test_feats_serialize_case_insensitive_alphabetical():
     from cait.conllu import format_feats
 
@@ -345,6 +356,35 @@ def test_normalize_breaks_cycle_at_smallest_id():
     out = normalize(sentence, {})
     assert validate(out) == []
     assert out.tokens[0].head == 3  # smallest cycle member re-headed to root
+
+
+def test_normalize_breaks_disjoint_cycles_in_one_pass(monkeypatch):
+    from cait import conllu
+
+    # Walk order finds {7,8} (from token 2), then {3,4}, then {5,6}.
+    sentence = build_sentence(
+        "cycles",
+        [("r", "r", "VERB", 0, "root"), ("a", "a", "NOUN", 7, "dep")]
+        + [(f, f, "NOUN", head, "dep")
+           for f, head in (("b", 4), ("c", 3), ("d", 6), ("e", 5), ("f", 8), ("g", 7))],
+    )
+    calls = []
+    find_cycles = conllu._find_cycles
+
+    def counting_find_cycles(toks):
+        calls.append(len(toks))
+        return find_cycles(toks)
+
+    monkeypatch.setattr(conllu, "_find_cycles", counting_find_cycles)
+    out = normalize(sentence, {})
+    assert calls == [8]
+    assert [d.message for d in out.diagnostics if d.code == "break-cycle"] == [
+        "broke cycle {3,4} at token 3",
+        "broke cycle {5,6} at token 5",
+        "broke cycle {7,8} at token 7",
+    ]
+    assert [t.head for t in out.tokens] == [0, 7, 1, 3, 1, 5, 1, 7]
+    assert validate(out) == []
 
 
 def test_normalize_zero_roots_picks_shallowest_cycle_free_token():

@@ -5,7 +5,8 @@
 (``reference_evaluation``) gives, exceptions and messages included, on
 generated gold/predicted treebanks with differing forms, token counts and
 sentence counts; their aggregates must not depend on sentence order; and
-``evaluate_treebanks`` must align each sentence pair once. ``aggregate``
+``evaluate_treebanks`` must align each sentence pair once and walk each
+aligned pair list once. ``aggregate``
 must give what the reference gives on hand-built score lists.
 """
 
@@ -144,6 +145,48 @@ def test_each_function_aligns_each_pair_once(monkeypatch, name, args):
     monkeypatch.setattr(evaluation, "align", counting_align)
     getattr(evaluation, name)(gold, pred, *args)
     assert aligned == [(s.sent_id, s.sent_id) for s in gold.sentences]
+
+
+def test_scoring_walks_each_aligned_pair_list_once(monkeypatch):
+    rng = random.Random(11)
+    gold = Treebank([_sentence(rng, f"s{i}") for i in range(30)])
+    pred = Treebank([_prediction(rng, s, 0.0) for s in gold.sentences])
+    base = Treebank([_prediction(rng, s, 0.0) for s in gold.sentences])
+    walks = []
+
+    class CountingPairs(list):
+        def __iter__(self):
+            walks.append(len(self))
+            return super().__iter__()
+
+    monkeypatch.setattr(
+        evaluation, "align", lambda g, p: CountingPairs(reference_evaluation.align(g, p))
+    )
+    list(evaluation._tally(gold, pred, base))  # the path of ``cait eval``
+    assert len(walks) == 2 * len(gold.sentences)
+    walks.clear()
+    evaluation.evaluate_treebanks(gold, pred)
+    assert len(walks) == len(gold.sentences)
+
+
+def _flat(xpos: tuple[str, ...]) -> Treebank:
+    """Sentences of 3, 2 and 4 tokens, with the given XPOS in each."""
+    return Treebank([
+        Sentence(sent_id=f"s{i}", tokens=[
+            Token(j, "a", upos="NOUN", xpos=tag, head=min(j - 1, 1),
+                  deprel="dep" if j > 1 else "root")
+            for j in range(1, n + 1)
+        ])
+        for i, (n, tag) in enumerate(zip((3, 2, 4), xpos))
+    ])
+
+
+def test_xpos_accuracy_is_over_all_tokens_once_any_sentence_fills_it():
+    gold = _flat(("NN", "NN", "NN"))
+    report = evaluation.evaluate_treebanks(gold, _flat(("_", "_", "NN")))
+    assert (report.upos_acc, report.xpos_acc) == (100.0, 100.0 * 4 / 9)
+    report = evaluation.evaluate_treebanks(gold, _flat(("_", "_", "_")))
+    assert (report.upos_acc, report.xpos_acc) == (100.0, None)
 
 
 @st.composite
