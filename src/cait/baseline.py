@@ -3,23 +3,26 @@ averaged-perceptron scoring.
 
 Desk-scale: training is online with a static oracle over projective
 sentences (non-projective ones are skipped and counted), decoding is
-greedy, and all randomness comes from one seed. Features are interned to
-matrix rows and classes (transitions or tags) to columns sorted by name;
-one numpy scorer serves training and decoding, and the lowest column among
-equal scores breaks ties on the name. Terminal cleanup after decoding
+greedy, and all randomness comes from one seed. Classes (transitions or
+tags) are columns sorted by name, and the lowest column among equal scores
+breaks ties on the name. Training keeps exact integer weights, each
+feature's packed into one int, so a score vector is a sum of a few ints;
+decoding adds each feature's sparse float weights in feature order. Plain
+Python does both: no command loads numpy. Terminal cleanup after decoding
 guarantees every output is a valid single-rooted tree regardless of model
 quality, including the zero model.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Sequence
-
-import numpy as np
 
 from . import conllu
 from .conllu import Diagnostic, Sentence, Token, Treebank
@@ -213,7 +216,7 @@ def _cleanup(state: ParserState) -> tuple[dict[int, int], dict[int, str], list[i
 
 class _Transitions:
     """Transition names sorted into class indices, with the candidate
-    index array of each (shift, left, right, reduce) combination."""
+    indices of each (shift, left, right, reduce) combination."""
 
     def __init__(self, label_set: Sequence[str]):
         self.label_set = list(label_set)
@@ -223,16 +226,16 @@ class _Transitions:
             | {_RIGHT + l for l in label_set}
         )
         self.index = {name: i for i, name in enumerate(self.names)}
-        self._candidates: dict[tuple[bool, ...], np.ndarray] = {}
+        self._candidates: dict[tuple[bool, ...], tuple[int, ...]] = {}
 
-    def candidates(self, state: ParserState) -> np.ndarray:
+    def candidates(self, state: ParserState) -> tuple[int, ...]:
         """Valid transition indices for ``state``, in ascending order."""
         key = state._moves()
         found = self._candidates.get(key)
         if found is None:
-            found = self._candidates[key] = np.array(sorted(
+            found = self._candidates[key] = tuple(sorted(
                 {self.index[t] for t in state.valid_transitions(self.label_set)}
-            ), dtype=np.intp)
+            ))
         return found
 
 
@@ -301,128 +304,123 @@ def _parser_features(
     return feats
 
 
-def _predict(
-    rows: dict[str, int],
-    matrix: np.ndarray,
-    features: Sequence[str],
-    candidates: np.ndarray,
-) -> int:
-    """The candidate class with the highest score; the lowest index wins ties.
-
-    Rows are summed in feature order, so float scores, and with them the
-    ties, are reproducible: ``np.add.reduce`` along axis 0 of the
-    C-contiguous ``take`` result adds one whole row after another to a
-    running vector. numpy sums pairwise only along a contiguous reduced
-    axis, which a one-column matrix would have; with one column there is
-    one candidate, and it returns before any sum.
-    """
-    if len(candidates) == 1:
-        return int(candidates[0])
-    idx = [r for r in map(rows.get, features) if r is not None]
-    if not idx:
-        return int(candidates[0])
-    scores = np.add.reduce(matrix.take(idx, axis=0), axis=0)
-    return int(candidates[scores.take(candidates).argmax()])
-
-
 class AveragedWeights:
     """Multiclass perceptron weights with lazily accumulated averages.
 
-    Weights, their running totals and the update at which each was last
-    changed are integer arrays indexed ``[feature row, class]``. Rows and
-    classes are added as updates first name them, so integer weights keep
-    every score exact.
+    ``rows[feature]`` packs the feature's integer class weights into one
+    signed int, ``sum(w[feature, c] << (64 * c))``. A score vector is the
+    sum of the rows the features name plus 2**62 in every 64-bit field,
+    which keeps each field at or above 0: the fields stay apart while
+    ``|score| <= n_features * updates`` stays below 2**62. Each (feature,
+    class) pair that an update touched also keeps its weight, running total
+    and the update at which it last changed. Rows and classes are added as
+    updates first name them, so integer weights keep every score exact.
     """
 
     def __init__(self, classes: Sequence[str] = ()):
-        self.classes = list(classes)
-        self._columns = {c: i for i, c in enumerate(self.classes)}
+        self.classes: list[str] = []
+        self._columns: dict[str, int] = {}
+        self._bias = 0
         self.rows: dict[str, int] = {}
-        self.weights = np.zeros((0, len(self.classes)), dtype=np.int32)
-        self._totals = np.zeros(self.weights.shape, dtype=np.int64)
-        self._stamps = np.zeros(self.weights.shape, dtype=np.int32)
+        # feature -> column -> [weight, running total, update of last change]
+        self._cells: dict[str, dict[int, list[int]]] = {}
+        self._pickers: dict[tuple[int, ...], itemgetter] = {}
         self.updates = 0
-
-    def _fit(self, n_rows: int, n_cols: int) -> None:
-        # Rows grow by doubling so that a run costs amortized O(1) copies.
-        have_rows, have_cols = self.weights.shape
-        if n_rows <= have_rows and n_cols <= have_cols:
-            return
-        shape = (max(n_rows, 2 * have_rows), max(n_cols, have_cols))
-        for name in ("weights", "_totals", "_stamps"):
-            old = getattr(self, name)
-            new = np.zeros(shape, dtype=old.dtype)
-            new[:have_rows, :have_cols] = old
-            setattr(self, name, new)
+        for cls in classes:
+            self._column(cls)
 
     def _column(self, cls: str) -> int:
         col = self._columns.get(cls)
         if col is None:
             col = self._columns[cls] = len(self.classes)
             self.classes.append(cls)
-            self._fit(len(self.rows), len(self.classes))
+            self._bias += 1 << (64 * col + 62)
         return col
 
-    def _row(self, feature: str) -> int:
-        row = self.rows.get(feature)
-        if row is None:
-            row = self.rows[feature] = len(self.rows)
-            self._fit(len(self.rows), len(self.classes))
-        return row
+    def predict(self, features: Sequence[str], candidates: tuple[int, ...]) -> int:
+        """The candidate class with the highest score; the lowest index wins
+        ties. ``candidates`` are class indices in ascending order."""
+        if len(candidates) == 1:
+            return candidates[0]
+        total = sum(filter(None, map(self.rows.get, features)), self._bias)
+        packed = total.to_bytes(8 * len(self.classes), sys.byteorder)
+        pick = self._pickers.get(candidates)
+        if pick is None:
+            pick = self._pickers[candidates] = itemgetter(*candidates)
+        scores = pick(memoryview(packed).cast("Q"))
+        return candidates[scores.index(max(scores))]
 
     def update(self, truth: str, guess: str, features: Sequence[str]) -> None:
         """One perceptron step; ``features`` must not repeat a string."""
         self.updates += 1
         if truth == guess:
             return
-        rows = [self._row(f) for f in features]
-        for cls, delta in ((truth, 1), (guess, -1)):
-            col = self._column(cls)
-            current = self.weights[rows, col]
-            self._totals[rows, col] += (
-                np.int64(self.updates) - self._stamps[rows, col]
-            ) * current
-            self._stamps[rows, col] = self.updates
-            self.weights[rows, col] = current + delta
+        now = self.updates
+        up, down = self._column(truth), self._column(guess)
+        delta = (1 << 64 * up) - (1 << 64 * down)
+        rows, cells = self.rows, self._cells
+        for feature in features:
+            rows[feature] = rows.get(feature, 0) + delta
+            row = cells.setdefault(feature, {})
+            for col, step in ((up, 1), (down, -1)):
+                cell = row.get(col) or row.setdefault(col, [0, 0, now])
+                cell[1] += (now - cell[2]) * cell[0]
+                cell[2] = now
+                cell[0] += step
 
     def averaged(self) -> dict[str, dict[str, float]]:
         """Mean of the per-update weight snapshots, for every (feature,
-        class) pair an update touched and whose mean is not zero."""
+        class) pair an update touched and whose mean is not zero; features
+        in the order updates first named them, classes in column order."""
         if self.updates == 0:
             return {}
-        n = len(self.rows)
-        stamps = self._stamps[:n]
-        # A value set at update s is part of snapshots s..U inclusive.
-        totals = self._totals[:n] + (
-            np.int64(self.updates + 1) - stamps
-        ) * self.weights[:n]
-        means = totals / self.updates
-        keep = (stamps > 0) & (means != 0.0)
-        features = list(self.rows)
+        now = self.updates
         out: dict[str, dict[str, float]] = {}
-        for r, c, mean in zip(*np.nonzero(keep), means[keep].tolist()):
-            out.setdefault(features[r], {})[self.classes[c]] = mean
+        for feature, row in self._cells.items():
+            for col in sorted(row):
+                weight, total, stamp = row[col]
+                # A value set at update s is part of snapshots s..U inclusive.
+                total += (now + 1 - stamp) * weight
+                if total:
+                    # Correctly rounded, so equal to the float64 quotient of
+                    # the two ints while the total stays below 2**53.
+                    out.setdefault(feature, {})[self.classes[col]] = total / now
         return out
+
+
+_Rows = dict[str, tuple[tuple[int, float], ...]]
 
 
 def _compile(
     weights: dict[str, dict[str, float]], classes: Sequence[str]
-) -> tuple[dict[str, int], np.ndarray]:
-    """Averaged float weights as feature rows of a ``[row, class]`` matrix;
-    entries for classes outside ``classes`` are dropped."""
+) -> tuple[_Rows, int]:
+    """Each feature's ``(column, weight)`` pairs and the number of columns;
+    weights of classes outside ``classes`` are dropped."""
     columns = {c: i for i, c in enumerate(classes)}
-    rows = {feature: r for r, feature in enumerate(weights)}
-    matrix = np.zeros((len(rows), len(columns)))
-    cells = [
-        (r, columns[cls], w)
-        for r, row in enumerate(weights.values())
-        for cls, w in row.items()
-        if cls in columns
-    ]
-    if cells:
-        rs, cs, ws = zip(*cells)
-        matrix[list(rs), list(cs)] = ws
-    return rows, matrix
+    rows = {
+        feature: tuple((columns[c], w) for c, w in row.items() if c in columns)
+        for feature, row in weights.items()
+    }
+    return rows, len(classes)
+
+
+def _decode(
+    rows: _Rows, n_classes: int, features: Sequence[str], candidates: Sequence[int]
+) -> int:
+    """The candidate class with the highest score; the lowest index wins ties.
+
+    Scores are summed in feature order, so they are the floats, and the
+    ties, that adding whole rows of a dense ``[feature, class]`` matrix one
+    after another gives: there a missing weight adds 0.0, and ``x + 0.0``
+    is ``x`` for any non-zero float.
+    """
+    if len(candidates) == 1:
+        return candidates[0]
+    scores = [0.0] * n_classes
+    for pairs in filter(None, map(rows.get, features)):
+        for col, weight in pairs:
+            scores[col] += weight
+    return max(candidates, key=scores.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +438,13 @@ class ParserModel:
     n_nonprojective_skipped: int = 0
 
     @cached_property
-    def _decoder(self) -> tuple[_Transitions, dict[str, int], np.ndarray]:
+    def _decoder(self) -> tuple[_Transitions, _Rows, int]:
         transitions = _Transitions(self.label_set or ["dep"])
         return (transitions, *_compile(self.weights, transitions.names))
 
 
 # Features, gold transition and valid candidates of one oracle state.
-_Step = tuple[tuple[str, ...], str, np.ndarray]
+_Step = tuple[tuple[str, ...], str, tuple[int, ...]]
 
 
 def _oracle_steps(
@@ -507,7 +505,7 @@ def train_parser(tb: Treebank, epochs: int = 5, seed: int = 0) -> ParserModel:
                     projective[idx], transitions, interned
                 )
             for features, truth, candidates in replay:
-                guess = _predict(weights.rows, weights.weights, features, candidates)
+                guess = weights.predict(features, candidates)
                 weights.update(truth, names[guess], features)
     return ParserModel(weights.averaged(), label_set, FEATURE_TEMPLATE_VERSION, skipped)
 
@@ -544,12 +542,12 @@ def parse(model: ParserModel, sentence: Sentence) -> Sentence:
     if _needs_normalize(sentence):
         sentence = conllu.normalize(sentence)
         diagnostics = list(sentence.diagnostics)
-    transitions, rows, matrix = model._decoder
+    transitions, rows, n_classes = model._decoder
     forms, tags = _parser_columns(sentence.tokens)
     state = ParserState(len(sentence.tokens))
     while not state.buffer_empty():
         features = _parser_features(state, forms, tags)
-        best = _predict(rows, matrix, features, transitions.candidates(state))
+        best = _decode(rows, n_classes, features, transitions.candidates(state))
         state.apply(transitions.names[best])
     heads, labels, attached = _cleanup(state)
     if attached:
@@ -577,7 +575,7 @@ class TaggerModel:
     version: int = FEATURE_TEMPLATE_VERSION
 
     @cached_property
-    def _decoder(self) -> tuple[list[str], dict[str, int], np.ndarray]:
+    def _decoder(self) -> tuple[list[str], _Rows, int]:
         names = sorted(set(self.classes or ["X"]))
         return (names, *_compile(self.weights, names))
 
@@ -633,7 +631,7 @@ def train_tagger(tb: Treebank, epochs: int = 5, seed: int = 0) -> TaggerModel:
     class_list = sorted(classes)
 
     weights = AveragedWeights(class_list)
-    everything = np.arange(len(class_list), dtype=np.intp)
+    everything = tuple(range(len(class_list)))
     lowered = [[t.form.lower() for t in s.tokens] for s in sentences]
     rng = random.Random(seed)
     order = list(range(len(sentences)))
@@ -646,9 +644,7 @@ def train_tagger(tb: Treebank, epochs: int = 5, seed: int = 0) -> TaggerModel:
                 guess = tagdict.get(lowers[i])
                 if guess is None:
                     features = _tagger_features(lowers, i, prev, prev2)
-                    guess = class_list[
-                        _predict(weights.rows, weights.weights, features, everything)
-                    ]
+                    guess = class_list[weights.predict(features, everything)]
                     weights.update(tok.upos, guess, features)
                 prev2 = prev
                 prev = guess
@@ -659,8 +655,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> Sentence:
     """Fill UPOS only; every other field is preserved."""
     if not sentence.tokens:
         raise ValueError("cannot tag an empty sentence")
-    names, rows, matrix = model._decoder
-    everything = np.arange(len(names), dtype=np.intp)
+    names, rows, n_classes = model._decoder
     lowers = [t.form.lower() for t in sentence.tokens]
     prev, prev2 = _START
     tags = []
@@ -668,7 +663,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> Sentence:
         guess = model.tagdict.get(lowers[i])
         if guess is None:
             features = _tagger_features(lowers, i, prev, prev2)
-            guess = names[_predict(rows, matrix, features, everything)]
+            guess = names[_decode(rows, n_classes, features, range(n_classes))]
         tags.append(guess)
         prev2 = prev
         prev = guess
@@ -712,12 +707,16 @@ def save_model(model: ParserModel | TaggerModel, sink: str | Path | IO) -> None:
 
 def _number(kind: type, text: str, what: str, line_no: int):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
         raise ModelFormatError(
             f"line {line_no}: {what} {text!r} is not {expected}"
         ) from None
+    # save_model writes means of integer totals, which are finite.
+    if kind is float and not math.isfinite(value):
+        raise ModelFormatError(f"line {line_no}: {what} {text!r} is not a finite number")
+    return value
 
 
 def load_model(source: str | Path | bytes | IO) -> ParserModel | TaggerModel:

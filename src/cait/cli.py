@@ -17,9 +17,9 @@ read and copied to its target after the last read, so a failed read
 (``tag-cxn --gold`` too) writes nothing.
 Every command runs in one process: ``--jobs`` has no effect.
 
-Each command loads and computes only what it prints. numpy is loaded by
-``train``, ``parse`` and ``tag`` alone: ``eval --tsv`` and ``tag-cxn
---gold`` count their tables in plain Python. Every cait log record is
+Each command loads and computes only what it prints. No command loads
+numpy: the baseline trains and decodes, and ``eval --tsv`` and ``tag-cxn
+--gold`` count their tables, in plain Python. Every cait log record is
 INFO, so ``logging`` is loaded only for ``--log-level`` info or debug.
 """
 
@@ -323,7 +323,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from . import baseline  # loads numpy
+    from . import baseline
     from .conllu import Strictness, read_conllu
 
     # Training needs every sentence once per epoch, so the treebank is held.
@@ -344,7 +344,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    from . import baseline  # loads numpy
+    from . import baseline
     from .conllu import Strictness, sentence_text
 
     model = baseline.load_model(_source(args.model))
@@ -368,7 +368,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
-    from . import baseline  # loads numpy
+    from . import baseline
     from .conllu import Strictness, sentence_text
 
     model = baseline.load_model(_source(args.model))

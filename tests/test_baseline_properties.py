@@ -1,4 +1,4 @@
-"""Property tests for parser training and the one scorer.
+"""Property tests for parser training and the two scorers.
 
 ``train_parser`` computes each sentence's oracle steps on its first visit
 and replays them in later epochs. It must give what the frozen per-epoch
@@ -6,7 +6,9 @@ loop (``reference_baseline``) gives: the same weights to the last bit, label
 set, skip count and model file, and the same exception, raised on the same
 sentence, on generated treebanks with non-projective trees and with
 projective self-loops and cycles that make the oracle fail. The oracle runs
-once per step, on the first visit, and never at zero epochs.
+once per step, on the first visit, and never at zero epochs. The packed
+integer weights predict and average like the reference's numpy arrays, and
+the sparse float decoder picks what the reference's dense scorer picks.
 """
 
 import io
@@ -165,7 +167,57 @@ def test_predict_matches_the_reference(seed, n_classes, n_features):
     rows = {f"f{i}": i for i in range(40)}
     features = [f"f{i}" for i in rng.choice(50, n_features, replace=False)]
     k = int(rng.integers(1, n_classes + 1))
-    candidates = np.sort(rng.choice(n_classes, k, replace=False)).astype(np.intp)
-    assert baseline._predict(rows, matrix, features, candidates) == (
+    candidates = tuple(sorted(rng.choice(n_classes, k, replace=False).tolist()))
+    # The matrix as averaged weights: non-zero entries only, by class name.
+    classes = [f"c{j:02d}" for j in range(n_classes)]
+    weights = {
+        feature: {classes[c]: w for c, w in enumerate(matrix[r].tolist()) if w}
+        for feature, r in rows.items()
+    }
+    sparse, n = baseline._compile(weights, classes)
+    assert baseline._decode(sparse, n, features, candidates) == (
         reference_baseline._predict(rows, matrix, features, candidates)
     )
+
+
+def test_decode_adds_weights_in_feature_order():
+    # Class A sums to 0.0 in the order f0, f1, f2 and to 1.0 in reverse;
+    # class B scores 0.5 either way.
+    weights = {"f0": {"A": 1.0}, "f1": {"A": 1e100, "B": 0.5}, "f2": {"A": -1e100}}
+    rows, n = baseline._compile(weights, ["A", "B"])
+    matrix = np.array([[1.0, 0.0], [1e100, 0.5], [-1e100, 0.0]])
+    for features, best in ((["f0", "f1", "f2"], 1), (["f2", "f1", "f0"], 0)):
+        assert baseline._decode(rows, n, features, (0, 1)) == best
+        assert reference_baseline._predict(
+            {"f0": 0, "f1": 1, "f2": 2}, matrix, features, (0, 1)
+        ) == best
+
+
+_CLASSES = ("A", "B", "C", "D", "E")
+_FEATURES = tuple(f"f{i}" for i in range(8))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3), st.data())
+def test_packed_weights_predict_and_average_like_the_reference(named, data):
+    # Classes named up front or first by an update; truth == guess too.
+    live = baseline.AveragedWeights(_CLASSES[:named])
+    ref = reference_baseline.AveragedWeights(_CLASSES[:named])
+    for _ in range(data.draw(st.integers(0, 30))):
+        features = data.draw(st.lists(st.sampled_from(_FEATURES), unique=True, max_size=6))
+        if live.classes:
+            candidates = tuple(sorted(data.draw(st.sets(
+                st.integers(0, len(live.classes) - 1), min_size=1
+            ))))
+            assert live.predict(features, candidates) == reference_baseline._predict(
+                ref.rows, ref.weights, features, np.array(candidates, dtype=np.intp)
+            )
+        truth = data.draw(st.sampled_from(_CLASSES))
+        guess = data.draw(st.sampled_from(_CLASSES))
+        live.update(truth, guess, features)
+        ref.update(truth, guess, features)
+        assert live.classes == ref.classes
+    averaged, expected = live.averaged(), ref.averaged()
+    assert [(f, list(row.items())) for f, row in averaged.items()] == [
+        (f, list(row.items())) for f, row in expected.items()
+    ]

@@ -845,3 +845,19 @@ def test_bad_model_header_is_one_error_line(capsys, tmp_path, corpus_path, comma
     assert code == 1
     assert out == ""
     assert err == "error: bad magic header 'garbage'; expected CAITB1\n"
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-Infinity"])
+def test_non_finite_model_weight_is_one_error_line(capsys, tmp_path, corpus_path, weight):
+    # save_model never writes one: every weight is a mean of integer totals.
+    model = tmp_path / "nan.model"
+    model.write_text(
+        f"CAITB1\ttagger\t1\nclass\tNOUN\nclass\tVERB\nw\tbias\tNOUN\t{weight}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(
+        capsys, "tag", "--input", str(corpus_path), "--model", str(model),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: line 4: weight {weight!r} is not a finite number\n"

@@ -1,13 +1,14 @@
 """Which of numpy, logging and multiprocessing each command loads.
 
 Each row launches ``python -m cait.cli`` with its arguments in a new
-process and records the watched modules in ``sys.modules`` at exit. numpy
-is for the baseline's weight arrays, logging only for ``--log-level info``
-or ``debug``. multiprocessing is never loaded: every command, ``--jobs``
-or not, runs in one process, a big input included. ``import cait`` loads
-neither ``tempfile`` nor ``shutil``, which spool output, and ``cait
---help`` only the ``shutil`` that argparse's help formatter loads. Every
-name that a ``cait`` submodule exports in ``__all__`` exists.
+process and records the watched modules in ``sys.modules`` at exit. No
+command loads numpy, the baseline's training and decoding included; logging
+is loaded only for ``--log-level info`` or ``debug``. multiprocessing is
+never loaded: every command, ``--jobs`` or not, runs in one process, a big
+input included. ``import cait`` loads neither ``tempfile`` nor ``shutil``,
+which spool output, and ``cait --help`` only the ``shutil`` that argparse's
+help formatter loads. Every name that a ``cait`` submodule exports in
+``__all__`` exists.
 """
 
 import importlib
@@ -51,10 +52,11 @@ ROWS = [
     ("eval --gold {corpus} --pred {corpus}", 0, ""),
     ("eval --gold {corpus} --pred {corpus} --tsv {out}", 0, ""),
     ("eval --gold {corpus} --pred {corpus} --baseline {corpus} --json {out}", 0, ""),
-    ("train --input {corpus} --model {out} --epochs 1", 0, "numpy"),
-    ("parse --input {corpus} --model {parser}", 0, "numpy"),
-    ("tag --input {corpus} --model {tagger}", 0, "numpy"),
-    ("--log-level info parse --input {corpus} --model {parser}", 0, "logging numpy"),
+    ("train --input {corpus} --model {out} --epochs 1", 0, ""),
+    ("train --kind tagger --input {corpus} --model {out} --epochs 1", 0, ""),
+    ("parse --input {corpus} --model {parser}", 0, ""),
+    ("tag --input {corpus} --model {tagger}", 0, ""),
+    ("--log-level info parse --input {corpus} --model {parser}", 0, "logging"),
     ("--log-level info case-study --input {corpus} --jobs 1", 0, "logging"),
 ]
 
