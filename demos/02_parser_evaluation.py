@@ -56,13 +56,14 @@ for label, rate in rates.items():
 # Label confusion over all tokens, then row-normalized.
 matrix = confusion(Treebank([gold]), Treebank([pred]), ConfusionScope.LABEL_ONLY)
 print("confusion labels:", matrix.labels)
-print(matrix.counts)
+for label, row in zip(matrix.labels, matrix.counts):
+    print(f"{label:8s}", row)
 
 # Delta between two row-normalized matrices shows where one system errs
 # more than another (here: against itself, so all zeros).
 norm = matrix.row_normalized()
 delta = confusion_delta(norm, norm)
-print("self-delta is zero:", (delta.values == 0).all())
+print("self-delta is zero:", all(v == 0 for row in delta.values for v in row))
 
 # Paired t-test over per-sentence scores. With real experiments these are
 # per-sentence LAS values for two parsers over the same test set.

@@ -517,14 +517,8 @@ def _ids_in_order(sentence: Sentence) -> bool:
 def _needs_normalize(sentence: Sentence) -> bool:
     """Token ids other than 1..n, or multiword ranges ``normalize`` would
     drop: decoding by position would give an invalid tree."""
-    if not _ids_in_order(sentence):
-        return True
-    prev_end = 0
-    for r in sorted(sentence.mwt, key=lambda r: (r.start, r.end)):
-        if not prev_end < r.start < r.end <= len(sentence.tokens):
-            return True
-        prev_end = r.end
-    return False
+    ranges = conllu._kept_ranges(sentence.mwt, len(sentence.tokens))
+    return not _ids_in_order(sentence) or not all(kept for _, kept in ranges)
 
 
 def parse(model: ParserModel, sentence: Sentence) -> Sentence:

@@ -17,10 +17,10 @@ read and copied to its target after the last read, so a failed read
 (``tag-cxn --gold`` too) writes nothing.
 Every command runs in one process: ``--jobs`` has no effect.
 
-Each command loads and computes only what it prints. No command loads
-numpy: the baseline trains and decodes, and ``eval --tsv`` and ``tag-cxn
---gold`` count their tables, in plain Python. Every cait log record is
-INFO, so ``logging`` is loaded only for ``--log-level`` info or debug.
+Each command loads and computes only what it prints. cait uses no numpy:
+the baseline trains and decodes in plain Python, and every count table is
+plain rows of ``int``. Every cait log record is INFO, so ``logging`` is
+loaded only for ``--log-level`` info or debug.
 """
 
 from __future__ import annotations
@@ -152,14 +152,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
 
     if args.tsv:
-        # The row-normalized matrix of report.confusion, as plain rows.
-        labels, rows = evaluation._confusion_rows(
-            report.deprel_counts, evaluation.ConfusionScope(args.confusion)
-        )
+        scope = evaluation.ConfusionScope(args.confusion)
+        matrix = report.confusion(scope).row_normalized()
         with _output(args.tsv) as sink:
-            evaluation.write_matrix_tsv(
-                labels, evaluation._row_normalized(rows), sink
-            )
+            evaluation.write_matrix_tsv(matrix.labels, matrix.counts, sink)
     return 0
 
 
@@ -200,9 +196,9 @@ def cmd_tag_cxn(args: argparse.Namespace) -> int:
                 tags.append(item)
                 speakers[sentence.sent_id] = sentence.speaker_role
         if args.gold:  # scored inside the block, so a bad gold file writes nothing
-            from .cxntag import _cxn_scores, load_gold_labels
+            from .cxntag import cxn_accuracy, load_gold_labels
 
-            report = _cxn_scores(tags, load_gold_labels(_source(args.gold)), speakers)
+            report = cxn_accuracy(tags, load_gold_labels(_source(args.gold)), speakers)
 
     if args.gold:
         # With --out the data stream is a file, so the summary can take

@@ -290,15 +290,22 @@ def table_lines(source: str | Path | bytes | IO) -> Iterator[tuple[int, str]]:
 def table_map(source: str | Path | bytes | IO, key: Callable[[str], Any],
               value: Callable[[str], Any], what: str) -> dict:
     """A two-column table file as ``{key(first column): value(rest)}``, both
-    stripped; a row without a tab, or a value that is not ``what`` (``value``
-    raises ``ValueError``), is a ``ValueError`` naming the file and line."""
-    table = {}
+    stripped; a row without a tab, a key that repeats an earlier row's, or a
+    value that is not ``what`` (``value`` raises ``ValueError``), is a
+    ``ValueError`` naming the file and line."""
+    table, line_of = {}, {}
     for line_no, line in table_lines(source):
         first, tab, rest = line.partition("\t")
         if not tab:
             raise ValueError(f"{_name(source)}: line {line_no}: no tab in row {line!r}")
+        first = first.strip()
+        if (k := key(first)) in line_of:
+            raise ValueError(
+                f"{_name(source)}: line {line_no}: {first!r} repeats line {line_of[k]}"
+            )
+        line_of[k] = line_no
         try:
-            table[key(first.strip())] = value(rest.strip())
+            table[k] = value(rest.strip())
         except ValueError:
             raise ValueError(
                 f"{_name(source)}: line {line_no}: {rest.strip()!r} is not {what}"
@@ -866,11 +873,9 @@ def normalize(
 
     # Drop multiword ranges the repaired sentence cannot support.
     valid_mwt: list[MWTRange] = []
-    prev_end = 0
-    for r in sorted(mwt, key=lambda r: (r.start, r.end)):
-        if r.start < r.end and 1 <= r.start and r.end <= n and r.start > prev_end:
+    for r, kept in _kept_ranges(mwt, n):
+        if kept:
             valid_mwt.append(r)
-            prev_end = r.end
         else:
             diags.append(
                 Diagnostic("drop-mwt", f"dropped multiword range {r.start}-{r.end}")
@@ -878,6 +883,17 @@ def normalize(
     return replace(
         sentence, tokens=toks, mwt=valid_mwt, empty_nodes=empty, diagnostics=diags
     )
+
+
+def _kept_ranges(mwt: list[MWTRange], n: int) -> Iterator[tuple[MWTRange, bool]]:
+    """Each multiword range by (start, end), with whether ``normalize`` keeps
+    it: it spans two or more of tokens 1..n, after the last kept range."""
+    prev_end = 0
+    for r in sorted(mwt, key=lambda r: (r.start, r.end)):
+        kept = prev_end < r.start < r.end <= n
+        if kept:
+            prev_end = r.end
+        yield r, kept
 
 
 def _renumber(

@@ -16,8 +16,7 @@ from enum import Enum
 from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import (IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
-                    NamedTuple, Sequence)
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .conllu import (
     Diagnostic,
@@ -33,9 +32,6 @@ from .conllu import (
     table_lines,
     table_map,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CxnLabel",
@@ -903,9 +899,8 @@ def tag_conllu(
 class CxnEvalReport:
     accuracy: float
     per_category: dict[CxnLabel, float]
-    # gold x predicted over CXN_LABEL_ORDER: an int64 array from cxn_accuracy,
-    # plain rows from the numpy-free count that `tag-cxn --gold` prints from
-    confusion: np.ndarray | list[list[int]]
+    # gold x predicted counts over CXN_LABEL_ORDER, one row per gold label
+    confusion: list[list[int]]
     by_speaker: dict[str, float] = field(default_factory=dict)
     n: int = 0
 
@@ -922,20 +917,6 @@ def cxn_accuracy(
 ) -> CxnEvalReport:
     """Overall accuracy, per-gold-category recall, 10x10 confusion matrix,
     and (when speaker roles are supplied) CS/CDS split accuracies."""
-    import numpy as np
-
-    report = _cxn_scores(pred, gold, speakers)
-    report.confusion = np.array(report.confusion, dtype=np.int64)
-    return report
-
-
-def _cxn_scores(
-    pred: Sequence[TaggedUtterance],
-    gold: Mapping[str, CxnLabel],
-    speakers: Mapping[str, SpeakerRole] | None = None,
-) -> CxnEvalReport:
-    """``cxn_accuracy`` counted in plain Python: the same scores and errors,
-    with the confusion matrix as a list of rows."""
     if not pred:
         raise ValueError("no predictions to score")
     index = {label: i for i, label in enumerate(CXN_LABEL_ORDER)}

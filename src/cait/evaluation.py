@@ -15,12 +15,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .conllu import ConlluError, Sentence, SpeakerRole, Token
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "AlignmentError",
@@ -513,22 +510,27 @@ class Normalization(Enum):
 
 @dataclass
 class ConfusionMatrix:
+    """Gold-by-predicted deprel cells over ``labels``, one row per gold
+    label: ``int`` counts, or ``float`` shares of their row once
+    row-normalized. ``np.array(m.counts)`` gives an array."""
+
     labels: list[str]
-    counts: np.ndarray
+    counts: list[list[int]] | list[list[float]]
     normalization: Normalization = Normalization.RAW
 
-    def row_normalized(self) -> "ConfusionMatrix":
-        import numpy as np
-
-        rows = _row_normalized(self.counts.tolist())
-        norm = np.array(rows, dtype=float).reshape(self.counts.shape)
-        return ConfusionMatrix(list(self.labels), norm, Normalization.ROW_NORMALIZED)
+    def row_normalized(self) -> ConfusionMatrix:
+        """Each row over its sum; a row summing to 0 stays all zeros."""
+        rows = [
+            [count / total for count in row] if (total := sum(row)) else [0.0] * len(row)
+            for row in self.counts
+        ]
+        return ConfusionMatrix(list(self.labels), rows, Normalization.ROW_NORMALIZED)
 
 
 @dataclass
 class DeltaMatrix:
     labels: list[str]
-    values: np.ndarray
+    values: list[list[float]]
 
 
 def confusion(
@@ -543,17 +545,6 @@ def confusion(
 def _confusion(
     deprels: Counter[tuple[str, str, bool]], scope: ConfusionScope
 ) -> ConfusionMatrix:
-    import numpy as np
-
-    labels, rows = _confusion_rows(deprels, scope)
-    counts = np.array(rows, dtype=np.int64).reshape(len(labels), len(labels))
-    return ConfusionMatrix(labels, counts)
-
-
-def _confusion_rows(
-    deprels: Counter[tuple[str, str, bool]], scope: ConfusionScope
-) -> tuple[list[str], list[list[int]]]:
-    """The sorted labels and the gold-by-predicted counts as plain rows."""
     kept = [
         (g, p, count)
         for (g, p, head_ok), count in deprels.items()
@@ -564,59 +555,39 @@ def _confusion_rows(
     rows = [[0] * len(labels) for _ in labels]
     for g, p, count in kept:
         rows[index[g]][index[p]] += count
-    return labels, rows
-
-
-def _row_normalized(rows: list[list[int]]) -> list[list[float]]:
-    """Each row of counts over its sum, a row summing to 0 as zeros."""
-    return [
-        [count / total for count in row] if (total := sum(row)) else [0.0] * len(row)
-        for row in rows
-    ]
+    return ConfusionMatrix(labels, rows)
 
 
 def confusion_delta(a: ConfusionMatrix, b: ConfusionMatrix) -> DeltaMatrix:
     """Elementwise a - b over the union label set (missing labels are
     zero-padded); positive cells mean ``a`` errs more."""
-    import numpy as np
-
     if a.normalization is not Normalization.ROW_NORMALIZED:
         raise ValueError("matrix a must be row-normalized")
     if b.normalization is not Normalization.ROW_NORMALIZED:
         raise ValueError("matrix b must be row-normalized")
     labels = sorted(set(a.labels) | set(b.labels))
-    index = {label: i for i, label in enumerate(labels)}
 
-    def pad(m: ConfusionMatrix) -> np.ndarray:
-        out = np.zeros((len(labels), len(labels)), dtype=float)
-        rows = [index[l] for l in m.labels]
-        out[np.ix_(rows, rows)] = m.counts
-        return out
+    def cells(m: ConfusionMatrix) -> dict[tuple[str, str], float]:
+        return {(g, p): value for g, row in zip(m.labels, m.counts)
+                for p, value in zip(m.labels, row)}
 
-    return DeltaMatrix(labels, pad(a) - pad(b))
+    ca, cb = cells(a), cells(b)
+    return DeltaMatrix(labels, [
+        [ca.get((g, p), 0.0) - cb.get((g, p), 0.0) for p in labels] for g in labels
+    ])
 
 
 def write_matrix_tsv(
     labels: Sequence[str],
-    values: np.ndarray | Sequence[Sequence[float]],
+    values: Sequence[Sequence[float]],
     sink: IO,
     digits: int = 4,
 ) -> None:
     """TSV with a header row/column of labels; cells with fixed decimals,
-    or as integers for an integer array or plain rows of ``int``s."""
-    dtype = getattr(values, "dtype", None)
-    if dtype is None:
-        integral = all(type(v) is int for row in values for v in row)
-    else:
-        import numpy as np  # loaded already: ``values`` is an array
-
-        integral = np.issubdtype(dtype, np.integer)
+    or as integers when every cell is an ``int``."""
+    integral = all(type(v) is int for row in values for v in row)
     sink.write("\t" + "\t".join(labels) + "\n")
     for i, label in enumerate(labels):
         row = values[i]
-        cells = (
-            [str(int(v)) for v in row]
-            if integral
-            else [f"{v:.{digits}f}" for v in row]
-        )
+        cells = [str(v) for v in row] if integral else [f"{v:.{digits}f}" for v in row]
         sink.write(label + "\t" + "\t".join(cells) + "\n")

@@ -259,6 +259,20 @@ def test_tag_cxn_gold_bad_row_names_file_and_line(capsys, tmp_path, fixture_conl
     assert err == f"error: {gold}: line 4: 'NOPE' is not a construction label\n"
 
 
+def test_tag_cxn_gold_repeated_sent_id_is_an_error(capsys, tmp_path, fixture_conllu):
+    gold = tmp_path / "gold.tsv"
+    sid = UTTERANCES[0][0]
+    gold.write_text(f"{sid}\tFOR\n# again\n{sid}\tSPT\n", encoding="utf-8")
+    tags = tmp_path / "tags.tsv"
+    code, out, err = run(
+        capsys, "tag-cxn", "--input", str(fixture_conllu), "--gold",
+        str(gold), "--out", str(tags), "--jobs", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {gold}: line 3: {sid!r} repeats line 1\n"
+    assert not tags.exists()
+
+
 def test_tag_cxn_custom_lexicon_flag_beats_env(
     capsys, tmp_path, fixture_conllu, monkeypatch
 ):
@@ -658,8 +672,8 @@ def test_parse_rejects_tagger_model(capsys, tmp_path):
 
 
 def test_commands_without_numeric_work_do_not_import_numpy(tmp_path, fixture_conllu):
-    # numpy costs about half of the start-up time; only the baseline
-    # commands (train, parse, tag) use it.
+    # numpy costs about half of the start-up time; no command loads it, and
+    # tests/test_imports.py checks the baseline commands too.
     out = tmp_path / "out"
     script = (
         "import sys\n"

@@ -538,3 +538,21 @@ def test_two_column_tables_name_a_row_without_a_tab(tmp_path):
         with pytest.raises(ValueError) as info:
             load(path)
         assert str(info.value) == f"{path}: line 3: no tab in row 'chi CS'", load
+
+
+@pytest.mark.parametrize("loader, text, error", [
+    ("load_gold_labels", "x\tFOR\ny\tSPI\n\n x \tSPT\n", "line 4: 'x' repeats line 1"),
+    ("load_label_map", "dobj\tobj\nnn\tcompound\ndobj\tobj\n",
+     "line 3: 'dobj' repeats line 1"),
+    # A role map compares speaker codes in lower case.
+    ("load_role_map", "CHI\tCS\nMOT\tCDS\nchi\tCDS\n", "line 3: 'chi' repeats line 1"),
+])
+def test_two_column_tables_reject_a_repeated_key(tmp_path, loader, text, error):
+    from cait import conllu, cxntag
+
+    path = tmp_path / "table.tsv"
+    path.write_text(text, encoding="utf-8")
+    load = getattr(conllu, loader, None) or getattr(cxntag, loader)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {error}"

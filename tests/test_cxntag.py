@@ -343,10 +343,10 @@ def test_cxn_accuracy_perfect():
     report = cxn_accuracy(tagged, fixture_gold())
     assert report.accuracy == 100.0
     assert all(v == 100.0 for v in report.per_category.values())
-    assert report.confusion.sum() == 100
+    assert sum(map(sum, report.confusion)) == 100
     import numpy as np
 
-    assert report.confusion.sum() == np.trace(report.confusion)
+    assert sum(map(sum, report.confusion)) == np.trace(report.confusion)
 
 
 def test_cxn_accuracy_hand_count_and_confusion_rows():
@@ -361,7 +361,7 @@ def test_cxn_accuracy_hand_count_and_confusion_rows():
     report = cxn_accuracy(pred, gold)
     assert report.accuracy == 90.0
     spi_row = report.confusion[CXN_LABEL_ORDER.index(CxnLabel.SPI)]
-    assert spi_row.sum() == 10  # row sums equal gold category counts
+    assert sum(spi_row) == 10  # row sums equal gold category counts
 
 
 def test_cxn_accuracy_speaker_split():

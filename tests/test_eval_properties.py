@@ -77,8 +77,9 @@ def _outcome(fn, *args, **kwargs):
         result = fn(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
-    if hasattr(result, "counts"):  # a ConfusionMatrix
-        return result.labels, result.counts.dtype, result.counts.tolist()
+    if hasattr(result, "counts"):  # a ConfusionMatrix; the reference's is an array
+        rows = getattr(result.counts, "tolist", lambda: result.counts)()
+        return result.labels, {type(v) for row in rows for v in row}, rows
     return result
 
 

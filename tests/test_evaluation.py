@@ -425,14 +425,14 @@ def test_per_label_rate_mass_equals_las_errors():
 def test_confusion_identical_is_diagonal():
     tb = build_treebank([london_gold()])
     matrix = confusion(tb, tb, ConfusionScope.LABEL_ONLY)
-    off_diag = matrix.counts.sum() - np.trace(matrix.counts)
+    off_diag = sum(map(sum, matrix.counts)) - np.trace(matrix.counts)
     assert off_diag == 0
     gold_freq = {}
     for tok in london_gold().tokens:
         gold_freq[tok.deprel] = gold_freq.get(tok.deprel, 0) + 1
     for label, count in gold_freq.items():
         i = matrix.labels.index(label)
-        assert matrix.counts[i, i] == count
+        assert matrix.counts[i][i] == count
 
 
 def test_confusion_counts_vocative_as_nsubj_cell():
@@ -445,7 +445,7 @@ def test_confusion_counts_vocative_as_nsubj_cell():
     matrix = confusion(gold, pred)
     g = matrix.labels.index("vocative")
     p = matrix.labels.index("nsubj")
-    assert matrix.counts[g, p] == 1
+    assert matrix.counts[g][p] == 1
 
 
 def test_confusion_row_sums_equal_gold_frequencies():
@@ -459,13 +459,13 @@ def test_confusion_row_sums_equal_gold_frequencies():
         for t in s.tokens:
             freq[t.deprel] = freq.get(t.deprel, 0) + 1
     for i, label in enumerate(matrix.labels):
-        assert matrix.counts[i].sum() == freq.get(label, 0)
+        assert sum(matrix.counts[i]) == freq.get(label, 0)
 
 
 def test_confusion_las_scope_restricts_to_errors():
     tb = build_treebank([london_gold()])
     matrix = confusion(tb, tb, ConfusionScope.LAS_ERRORS)
-    assert matrix.counts.sum() == 0
+    assert sum(map(sum, matrix.counts)) == 0
 
 
 def test_row_normalized_rows_sum_to_one():
@@ -475,7 +475,7 @@ def test_row_normalized_rows_sum_to_one():
     matrix = confusion(
         build_treebank(gold_sents), build_treebank(pred_sents)
     ).row_normalized()
-    sums = matrix.counts.sum(axis=1)
+    sums = map(sum, matrix.counts)
     for s in sums:
         assert s == pytest.approx(1.0, abs=1e-9) or s == 0.0
 
@@ -493,7 +493,7 @@ def test_confusion_delta():
     delta = confusion_delta(a, b)
     assert set(delta.labels) == set(a.labels) | set(b.labels)
     anti = confusion_delta(b, a)
-    assert np.allclose(delta.values, -anti.values)
+    assert np.allclose(delta.values, np.negative(anti.values))
 
 
 def test_evaluate_treebanks_sets_tag_accuracy(corpus_path):

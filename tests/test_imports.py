@@ -8,7 +8,8 @@ never loaded: every command, ``--jobs`` or not, runs in one process, a big
 input included. ``import cait`` loads neither ``tempfile`` nor ``shutil``,
 which spool output, and ``cait --help`` only the ``shutil`` that argparse's
 help formatter loads. Every name that a ``cait`` submodule exports in
-``__all__`` exists.
+``__all__`` exists. With numpy made unimportable, the count tables of the
+CLI and of the Python API still come out, every count an ``int``.
 """
 
 import importlib
@@ -92,6 +93,47 @@ def test_each_command_loads_only_what_it_uses(tmp_path, files, command, code, lo
     )
     assert result.returncode == code, result.stderr
     assert record.read_text(encoding="utf-8") == loaded
+
+
+NUMPY_BLOCKED = '''
+import io, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from cait.cli import main
+from cait.conllu import read_conllu
+from cait.cxntag import cxn_accuracy, load_gold_labels, tag_treebank
+from cait.evaluation import (ConfusionScope, confusion, confusion_delta,
+                             evaluate_treebanks, write_matrix_tsv)
+
+corpus, labels, out = sys.argv[1:]
+assert main(["eval", "--gold", corpus, "--pred", corpus, "--tsv", out]) == 0
+assert main(["tag-cxn", "--input", corpus, "--gold", labels, "--out", out]) == 0
+gold = read_conllu(corpus)
+pred = read_conllu(corpus)
+pred.sentences[0].tokens[0].deprel = "dep"
+counts = []
+for scope in ConfusionScope:
+    matrix = confusion(gold, pred, scope)
+    assert matrix == evaluate_treebanks(gold, pred).confusion(scope)
+    write_matrix_tsv(matrix.labels, matrix.counts, io.StringIO())
+    counts += [v for row in matrix.counts for v in row]
+norm = matrix.row_normalized()
+delta = confusion_delta(norm, confusion(gold, gold).row_normalized())
+write_matrix_tsv(delta.labels, delta.values, io.StringIO())
+tagged, _ = tag_treebank(gold)
+counts += [v for row in cxn_accuracy(tagged, load_gold_labels(labels)).confusion
+           for v in row]
+assert counts and {type(v) for v in counts} == {int}
+'''
+
+
+def test_cait_runs_with_numpy_blocked(files):
+    args = [str(files[name]) for name in ("corpus", "labels", "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cait.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED, *args],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize(
