@@ -56,11 +56,11 @@ _LEFT = "LEFT:"
 _RIGHT = "RIGHT:"
 
 
-class OracleError(Exception):
+class OracleError(ValueError):
     pass
 
 
-class ModelFormatError(Exception):
+class ModelFormatError(ValueError):
     pass
 
 

@@ -277,7 +277,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from .conllu import Strictness, _read
 
     n = bad = 0
-    # Tree diagnostics, then a repeated sent_id: what strict reads reject.
+    # Parse defects, tree diagnostics, then a repeated sent_id: what strict
+    # reads reject.
     with _output(None, sys.stderr) as rows:
         read = _read(_source(args.input), Strictness.LENIENT)
         for n, (sentence, violations) in enumerate(read, 1):
@@ -463,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tag)
 
     p = sub.add_parser(
-        "validate", help="report tree violations and repeated sent_ids"
+        "validate", help="report what a strict read rejects: bad FEATS, "
+        "duplicate token ids, tree violations, repeated sent_ids"
     )
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_validate)
@@ -527,27 +529,12 @@ def _run(args: argparse.Namespace) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, KeyError, OSError, *_data_errors()) as exc:
-        # str() of a KeyError is the repr of its message.
+    except (ValueError, KeyError, OSError) as exc:
+        # Every cait data error is a ValueError, so no module is imported
+        # here. str() of a KeyError is the repr of its message.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         sys.stderr.write(f"error: {message}\n")
         return 1
-
-
-def _data_errors() -> tuple[type[Exception], ...]:
-    """The data-error classes of the cait modules this process has loaded.
-
-    Called only once an exception reaches ``_run``; a module that never
-    loaded cannot have raised, so nothing is imported for it.
-    """
-    homes = (
-        ("conllu", "ConlluError"),
-        ("evaluation", "AlignmentError"),
-        ("cxntag", "MissingAnnotationError"),
-        ("baseline", "ModelFormatError"),
-    )
-    loaded = ((sys.modules.get(f"{__package__}.{home}"), cls) for home, cls in homes)
-    return tuple(getattr(module, cls) for module, cls in loaded if module is not None)
 
 
 if __name__ == "__main__":

@@ -58,8 +58,8 @@ class SpeakerRole(Enum):
     OTHER = "OTHER"
 
 
-class ConlluError(Exception):
-    pass
+class ConlluError(ValueError):
+    """Input that cait cannot read; like every cait data error, a ``ValueError``."""
 
 
 class ConlluFormatError(ConlluError):
@@ -439,9 +439,10 @@ def _read(
     strictness: Strictness,
     role_map: Mapping[str, SpeakerRole] | None = None,
 ) -> Iterator[tuple[Sentence, list[Diagnostic]]]:
-    """Yield each sentence of ``source`` in file order with its violations:
-    its tree diagnostics, then ``duplicate-sent-id`` when its sent_id was
-    seen before (also appended to the sentence's diagnostics).
+    """Yield each sentence of ``source`` in file order with its violations,
+    what a strict read rejects: its ``bad-feats`` and ``duplicate-id``
+    defects, its tree diagnostics, then ``duplicate-sent-id`` when its
+    sent_id was seen before (also appended to the sentence's diagnostics).
 
     Raises ``ConlluFormatError`` naming the line, and under STRICT
     ``TreeValidationError`` for a sentence with a violation. The k-th
@@ -544,7 +545,7 @@ def _parse_block(
                 )
             seen.add(tok.id)
     sentence.diagnostics = parse_diags + meta_diags + tree_diags
-    return sentence, tree_diags
+    return sentence, parse_diags + tree_diags
 
 
 def _salvage_feats(text: str) -> dict[str, str]:

@@ -16,19 +16,17 @@ from enum import Enum
 from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .conllu import (
     Diagnostic,
     Sentence,
     SpeakerRole,
-    Strictness,
     Token,
     Treebank,
     _metadata_item,
     _name,
     detokenize,
-    iter_sentences,
     table_lines,
     table_map,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "Backend",
     "FormulaicLexicon",
     "TaggedUtterance",
-    "TagResult",
     "MissingAnnotationError",
     "CxnEvalReport",
     "CXN_LABEL_ORDER",
@@ -47,7 +44,6 @@ __all__ = [
     "tag_ud",
     "tag_pos",
     "tag_treebank",
-    "tag_conllu",
     "ud_rule_trace",
     "pos_rule_trace",
     "cxn_accuracy",
@@ -68,18 +64,7 @@ class CxnLabel(str, Enum):
     X = "X"      # exclusion: unintelligible / transcription markers only
 
 
-CXN_LABEL_ORDER: tuple[CxnLabel, ...] = (
-    CxnLabel.FOR,
-    CxnLabel.FRA,
-    CxnLabel.QWH,
-    CxnLabel.QYN,
-    CxnLabel.COP,
-    CxnLabel.IMP,
-    CxnLabel.SPI,
-    CxnLabel.SPT,
-    CxnLabel.COM,
-    CxnLabel.X,
-)
+CXN_LABEL_ORDER: tuple[CxnLabel, ...] = tuple(CxnLabel)
 
 
 class Backend(Enum):
@@ -87,7 +72,7 @@ class Backend(Enum):
     POS_RULES = "pos"
 
 
-class MissingAnnotationError(Exception):
+class MissingAnnotationError(ValueError):
     pass
 
 
@@ -861,38 +846,6 @@ def tag_treebank(
     tagged = [item for _, item, error in results if error is None]
     errors = [(s.sent_id, error) for s, _, error in results if error is not None]
     return tagged, errors
-
-
-class TagResult(NamedTuple):
-    """One sentence's outcome: its tag, or the message of the error that
-    tagging it raised."""
-
-    sent_id: str
-    speaker_role: SpeakerRole
-    child_age_months: float | None
-    tagged: TaggedUtterance | None
-    error: str | None
-
-
-def tag_conllu(
-    source: str | Path | bytes | IO,
-    backend: Backend = Backend.UD_RULES,
-    lexicon: FormulaicLexicon | None = None,
-) -> list[TagResult]:
-    """Read CoNLL-U strictly and tag each sentence as the reader yields it;
-    results in file order.
-
-    Read errors are raised exactly as ``read_conllu`` raises them, and
-    before anything is returned. A sentence that fails to tag gets the
-    message of its error in place of a tag.
-    """
-    lexicon = lexicon or FormulaicLexicon.default()
-    sentences = iter_sentences(source, Strictness.STRICT)
-    return [
-        TagResult(s.sent_id, s.speaker_role, s.child_age_months, tagged,
-                  None if error is None else str(error))
-        for s, tagged, error in _tag_each(sentences, backend, lexicon)
-    ]
 
 
 @dataclass

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-class AlignmentError(Exception):
+class AlignmentError(ValueError):
     def __init__(self, sent_id: str, position: int, message: str):
         super().__init__(f"sentence {sent_id}, token {position}: {message}")
         self.sent_id = sent_id

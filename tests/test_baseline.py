@@ -212,6 +212,15 @@ def test_parse_empty_sentence_errors():
         parse(model, build_sentence("none", []))
 
 
+def test_tagger_rejects_empty_input():
+    empty = build_sentence("none", [])
+    with pytest.raises(ValueError, match="cannot train on an empty treebank"):
+        train_tagger(build_treebank([empty]), epochs=1)
+    model = train_tagger(build_treebank([london_gold()]), epochs=1)
+    with pytest.raises(ValueError, match="cannot tag an empty sentence"):
+        tag(model, empty)
+
+
 def test_parse_outputs_validate_for_arbitrary_models():
     rng = random.Random(77)
     tb = childes_treebank(40, seed=4)
@@ -418,6 +427,17 @@ def test_bad_magic_rejected():
 def test_bad_numbers_name_the_line(text, line):
     with pytest.raises(ModelFormatError, match=line):
         load_model(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("CAITB1\tparser\t2\n", "unsupported feature template version 2"),
+    ("CAITB1\tparser\t1\nlabel\tdep\nbias\t1\n", "line 3: unrecognized row 'bias\\t1'"),
+    ("CAITB1\tchunker\t1\n", "unknown model kind 'chunker'"),
+])
+def test_unreadable_model_names_what_is_wrong(text, message):
+    with pytest.raises(ModelFormatError) as info:
+        load_model(io.StringIO(text))
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cait
-from cait.cli import main
+from cait.cli import build_parser, main
 from cait.conllu import Strictness, read_conllu, write_conllu
 from cxn_fixture import UTTERANCES
 from helpers import build_sentence, build_treebank
@@ -425,6 +425,7 @@ def test_case_study_width_below_one_is_usage_error(capsys, corpus_path):
     (["train", "--kind", "tagger"], "--epochs", "-1"),
     (["tag-cxn"], "--jobs", "0"),
     (["case-study"], "--jobs", "-2"),
+    (["train", "--kind", "parser"], "--epochs", "abc"),
 ])
 def test_counts_below_one_are_usage_errors(
     capsys, tmp_path, corpus_path, argv, flag, value
@@ -671,6 +672,19 @@ def test_parse_rejects_tagger_model(capsys, tmp_path):
     assert "not a parser model" in err
 
 
+def test_tag_rejects_parser_model(capsys, tmp_path):
+    tb = childes_treebank(20, seed=14)
+    train_path = tmp_path / "t.conllu"
+    write_conllu(tb, train_path)
+    model = tmp_path / "m.model"
+    run(capsys, "train", "--input", str(train_path), "--model", str(model),
+        "--kind", "parser", "--epochs", "1")
+    code, out, err = run(
+        capsys, "tag", "--input", str(train_path), "--model", str(model),
+    )
+    assert (code, out, err) == (2, "", f"error: {model} is not a tagger model\n")
+
+
 def test_commands_without_numeric_work_do_not_import_numpy(tmp_path, fixture_conllu):
     # numpy costs about half of the start-up time; no command loads it, and
     # tests/test_imports.py checks the baseline commands too.
@@ -770,28 +784,45 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, fixture_conllu):
     tagger_model = str(tmp_path / "tagger.model")
     assert main(["train", "--input", train, "--model", tagger_model,
                  "--kind", "tagger", "--epochs", "1"]) == 0
+    # Failing runs: an error loads no module that the command did not run.
+    malformed = tmp_path / "malformed.conllu"
+    malformed.write_text("1\tx\n\n", encoding="utf-8")
+    lines = fixture_conllu.read_text(encoding="utf-8").split("\n")
+    first = next(i for i, line in enumerate(lines) if line.startswith("1\t"))
+    fields = lines[first].split("\t")
+    lines[first] = "\t".join([fields[0], fields[1] + "x", *fields[2:]])
+    other_forms = tmp_path / "other_forms.conllu"
+    other_forms.write_text("\n".join(lines), encoding="utf-8")
+    bad_label = tmp_path / "bad_label.tsv"
+    bad_label.write_text(f"{UTTERANCES[0][0]}\tNOPE\n", encoding="utf-8")
     conllu = {"cait.conllu"}
     baseline = conllu | {"cait.baseline"}
     cases = [
-        (["--help"], set()),
-        (["validate", "--input", fixture], conllu),
-        (["normalize", "--input", fixture, "--out", out], conllu),
-        (["lint", "--input", fixture, "--tsv", out], conllu | {"cait.lint"}),
+        (["--help"], 0, set()),
+        (["validate", "--input", fixture], 0, conllu),
+        (["normalize", "--input", fixture, "--out", out], 0, conllu),
+        (["lint", "--input", fixture, "--tsv", out], 0, conllu | {"cait.lint"}),
         (["tag-cxn", "--input", fixture, "--jobs", "1", "--out", out],
-         conllu | {"cait.cxntag"}),
+         0, conllu | {"cait.cxntag"}),
         (["case-study", "--input", fixture, "--jobs", "1", "--out", out],
-         conllu | {"cait.cxntag", "cait.casestudy"}),
+         0, conllu | {"cait.cxntag", "cait.casestudy"}),
         (["eval", "--gold", fixture, "--pred", fixture, "--json", out],
-         conllu | {"cait.evaluation"}),
+         0, conllu | {"cait.evaluation"}),
         (["train", "--input", train, "--model", parser_model, "--epochs", "1"],
-         baseline),
+         0, baseline),
         (["parse", "--input", train, "--model", parser_model, "--out", out],
-         baseline),
+         0, baseline),
         (["tag", "--input", train, "--model", tagger_model, "--out", out],
-         baseline),
+         0, baseline),
+        (["validate", "--input", str(malformed)], 1, conllu),
+        (["eval", "--gold", fixture, "--pred", str(other_forms)],
+         1, conllu | {"cait.evaluation"}),
+        (["tag-cxn", "--input", fixture, "--gold", str(bad_label)],
+         1, conllu | {"cait.cxntag"}),
+        (["parse", "--input", train, "--model", tagger_model], 2, baseline),
     ]
-    for argv, expected in cases:
-        assert _loaded_cait_modules(*argv) == (0, expected), argv
+    for argv, code, expected in cases:
+        assert _loaded_cait_modules(*argv) == (code, expected), argv
 
 
 def test_package_names_resolve_to_their_defining_objects():
@@ -875,3 +906,57 @@ def test_non_finite_model_weight_is_one_error_line(capsys, tmp_path, corpus_path
     assert code == 1
     assert out == ""
     assert err == f"error: line 4: weight {weight!r} is not a finite number\n"
+
+
+def test_every_cait_error_class_is_a_value_error():
+    import importlib
+    import pkgutil
+
+    classes = set()
+    for info in pkgutil.iter_modules(cait.__path__):
+        module = importlib.import_module(f"cait.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            if isinstance(value, type) and issubclass(value, BaseException):
+                classes.add(value)
+    assert {cls.__name__ for cls in classes} >= {
+        "ConlluError", "ConlluFormatError", "TreeValidationError",
+        "AlignmentError", "MissingAnnotationError", "ModelFormatError",
+        "OracleError",
+    }
+    for cls in classes:
+        assert issubclass(cls, ValueError), cls
+
+
+_TWO_TOKENS = ("1\tI\tI\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+               "2\tgo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n\n")
+_ERROR_INPUTS = {
+    "malformed.conllu": "1\tI\n\n",
+    "cycle.conllu": _TWO_TOKENS.replace("\t0\troot", "\t1\troot"),
+    "gold.conllu": _TWO_TOKENS,
+    "other_forms.conllu": _TWO_TOKENS.replace("\tgo\t", "\twent\t"),
+    "bad.model": "garbage\n",
+}
+
+
+# Tagging errors (MissingAnnotationError) are rows of tag-cxn's report, and
+# training skips the non-projective sentences an OracleError would reject:
+# neither reaches the command line.
+@pytest.mark.parametrize("error, argv", [
+    ("ConlluFormatError", ["validate", "--input", "malformed.conllu"]),
+    ("TreeValidationError", ["lint", "--input", "cycle.conllu"]),
+    ("AlignmentError", ["eval", "--gold", "gold.conllu", "--pred", "other_forms.conllu"]),
+    ("ModelFormatError", ["parse", "--input", "gold.conllu", "--model", "bad.model"]),
+])
+def test_each_data_error_is_exit_1_and_one_error_line(
+    capsys, monkeypatch, tmp_path, error, argv
+):
+    for name, text in _ERROR_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ValueError) as info:
+        args.func(args)
+    assert type(info.value).__name__ == error
+    capsys.readouterr()
+    assert run(capsys, *argv) == (1, "", f"error: {info.value}\n")

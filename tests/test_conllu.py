@@ -281,6 +281,20 @@ def test_validate_head_out_of_range_and_root_deprel():
     assert "root-deprel" in codes
 
 
+def test_validate_rejects_a_range_that_ends_where_it_starts():
+    text = (
+        "# sent_id = r\n"
+        "1\tI\tI\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+        "2\tsee\tsee\tVERB\t_\t_\t0\troot\t_\t_\n"
+        "3-3\tit\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "3\tit\tit\tPRON\t_\t_\t2\tobj\t_\t_\n"
+    )
+    (sentence,) = read_conllu(text.encode(), Strictness.LENIENT).sentences
+    assert [(d.code, d.message) for d in validate(sentence)] == [
+        ("mwt-range", "invalid multiword range 3-3")
+    ]
+
+
 # ---------------------------------------------------------------------------
 # normalize
 # ---------------------------------------------------------------------------

@@ -386,6 +386,11 @@ def test_cxn_accuracy_unknown_sent_id():
         )
 
 
+
+def test_cxn_accuracy_of_no_predictions_is_an_error():
+    with pytest.raises(ValueError, match="no predictions to score"):
+        cxn_accuracy([], {})
+
 def test_load_gold_labels_names_the_line_of_a_bad_row(tmp_path):
     from cait.cxntag import load_gold_labels
 

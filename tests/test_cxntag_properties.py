@@ -241,6 +241,84 @@ def test_strip_tag_question_is_idempotent_on_lenient_reads(sentence):
     assert strip_tag_question(once) == once
 
 
+
+def _punct(head: int, form: str = ".") -> tuple:
+    return (form, form, "PUNCT", head, "punct")
+
+
+# Hand-built utterances, one for each decision-list branch that the fixture
+# and the generated sentences do not reach: (branch, backend, label, fired
+# rule, rows). The last two trees are invalid on purpose; tagging is total.
+_BRANCHES = [
+    ("ud-2-bare-be-with-discourse", Backend.UD_RULES, "FRA", 2, [
+        ("oh", "oh", "INTJ", 3, "discourse"),
+        ("it", "it", "PRON", 3, "nsubj"),
+        ("is", "be", "AUX", 0, "root"), _punct(3)]),
+    ("ud-2-bare-be-with-negation", Backend.UD_RULES, "FRA", 2, [
+        ("it", "it", "PRON", 2, "nsubj"),
+        ("is", "be", "AUX", 0, "root"),
+        ("not", "not", "PART", 2, "advmod"), _punct(2)]),
+    ("ud-2-bare-be-with-other-dependent", Backend.UD_RULES, "SPI", 9, [
+        ("I", "I", "PRON", 2, "nsubj"),
+        ("am", "be", "AUX", 0, "root"),
+        ("here", "here", "ADV", 2, "advmod"), _punct(2)]),
+    ("ud-8-let-us-without-imp-mood", Backend.UD_RULES, "IMP", 8, [
+        ("so", "so", "ADV", 2, "advmod"),
+        ("let", "let", "VERB", 0, "root"),
+        ("us", "we", "PRON", 2, "obj"), _punct(2)]),
+    ("pos-6-let-s-after-a-non-verb", Backend.POS_RULES, "IMP", 6, [
+        ("so", "so", "ADV", 2, "advmod"),
+        ("let", "let", "VERB", 0, "root"),
+        ("'s", "we", "PRON", 2, "obj"),
+        ("go", "go", "VERB", 2, "xcomp"), _punct(2)]),
+    ("ud-6-past-participle-by-voice", Backend.UD_RULES, "COP", 6, [
+        ("it", "it", "PRON", 3, "nsubj:pass"),
+        ("was", "be", "AUX", 3, "aux:pass"),
+        ("broken", "break", "VERB", 0, "root", {"Voice": "Pass"}), _punct(3)]),
+    ("ud-8-base-form-by-xpos", Backend.UD_RULES, "IMP", 8, [
+        ("you", "you", "PRON", 2, "nsubj"),
+        ("sit", "sit", "VERB", 0, "root", {"VerbForm": "Fin"}, "VB"), _punct(2)]),
+    ("tag-span-starting-at-token-1", Backend.UD_RULES, "COM", 5, [
+        ("is", "be", "AUX", 4, "parataxis"),
+        ("n't", "not", "PART", 1, "advmod"),
+        ("it", "it", "PRON", 1, "nsubj"),
+        (".", ".", "PUNCT", 0, "root")]),
+    ("tag-span-with-a-gap", Backend.UD_RULES, "COP", 6, [
+        ("it", "it", "PRON", 3, "nsubj"),
+        ("'s", "be", "AUX", 3, "cop"),
+        ("nice", "nice", "ADJ", 0, "root"),
+        ("is", "be", "AUX", 3, "parataxis"),
+        ("n't", "not", "PART", 3, "advmod"),
+        ("it", "it", "PRON", 4, "nsubj")]),
+    ("tag-span-holding-the-root", Backend.UD_RULES, "FRA", 2, [
+        ("go", "go", "VERB", 2, "dep"),
+        ("now", "now", "ADV", 1, "advmod"),
+        ("is", "be", "AUX", 0, "parataxis"),
+        ("it", "it", "PRON", 3, "nsubj"), _punct(3, "?")]),
+    ("ud-4-wh-with-a-head-that-is-no-token", Backend.UD_RULES, "SPI", 11, [
+        ("what", "what", "PRON", 7, "obj"),
+        ("you", "you", "PRON", 3, "nsubj"),
+        ("want", "want", "VERB", 0, "root"), _punct(3, "?")]),
+]
+
+
+@pytest.mark.parametrize(
+    "backend, label, rule, rows", [row[1:] for row in _BRANCHES],
+    ids=[row[0] for row in _BRANCHES],
+)
+def test_rare_branches_match_reference(backend, label, rule, rows):
+    sentence = build_sentence("branch", rows)
+    tagged = tag_utterance(sentence, backend)
+    assert (tagged.label.value, tagged.fired_rule) == (label, rule)
+    stripped = strip_tag_question(sentence)
+    for s in (sentence, stripped):
+        for live, reference in _PAIRS:
+            assert _outcome(live, s) == _outcome(reference, s), live.__name__
+    for each in Backend:
+        assert _outcome(tag_utterance, sentence, each) == _outcome(
+            reference_cxntag.tag_utterance, sentence, each
+        )
+
 @pytest.mark.xfail(strict=True, reason="one call strips only the last of two stacked tags")
 def test_strip_tag_question_is_idempotent_on_stacked_tags():
     sentence = build_sentence("stacked", [

@@ -355,6 +355,17 @@ def test_reg_inc_beta_against_scipy():
         )
 
 
+def test_reg_inc_beta_is_0_and_1_outside_the_unit_interval():
+    assert reg_inc_beta(2.0, 3.0, 0.0) == reg_inc_beta(2.0, 3.0, -0.5) == 0.0
+    assert reg_inc_beta(2.0, 3.0, 1.0) == reg_inc_beta(2.0, 3.0, 1.5) == 1.0
+
+
+def test_length_bin_rejects_a_negative_length():
+    assert length_bin(0) == "<=3"
+    with pytest.raises(ValueError, match="negative length -1"):
+        length_bin(-1)
+
+
 # ---------------------------------------------------------------------------
 # per-label error rates and confusion
 # ---------------------------------------------------------------------------
@@ -494,6 +505,16 @@ def test_confusion_delta():
     assert set(delta.labels) == set(a.labels) | set(b.labels)
     anti = confusion_delta(b, a)
     assert np.allclose(delta.values, np.negative(anti.values))
+
+
+def test_confusion_delta_needs_row_normalized_matrices():
+    tb = build_treebank([london_gold()])
+    raw = confusion(tb, build_treebank([london_pred()]))
+    shares = raw.row_normalized()
+    with pytest.raises(ValueError, match="matrix a must be row-normalized"):
+        confusion_delta(raw, shares)
+    with pytest.raises(ValueError, match="matrix b must be row-normalized"):
+        confusion_delta(shares, raw)
 
 
 def test_evaluate_treebanks_sets_tag_accuracy(corpus_path):

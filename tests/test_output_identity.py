@@ -20,7 +20,7 @@ import pytest
 
 from cait.cli import main
 from cait.conllu import Treebank, read_conllu, write_conllu
-from cait.cxntag import CXN_LABEL_ORDER, CxnLabel, cxn_accuracy, tag_conllu
+from cait.cxntag import CXN_LABEL_ORDER, CxnLabel, cxn_accuracy, tag_treebank
 from helpers import build_treebank
 from synth import childes_treebank
 
@@ -142,8 +142,8 @@ def test_eval_and_tag_cxn_outputs_are_byte_identical(capsys, tmp_path, inputs):
 
 
 def cxn_matrix_digests(paths) -> dict[str, object]:
-    results = tag_conllu(paths["gold"])
-    tagged = [r.tagged for r in results if r.tagged is not None]
+    treebank = read_conllu(paths["gold"])
+    tagged, _ = tag_treebank(treebank)
     gold = {
         sid: CxnLabel(label)
         for sid, label in (
@@ -151,7 +151,7 @@ def cxn_matrix_digests(paths) -> dict[str, object]:
             for line in paths["labels"].read_text(encoding="utf-8").splitlines()
         )
     }
-    speakers = {r.sent_id: r.speaker_role for r in results}
+    speakers = {s.sent_id: s.speaker_role for s in treebank.sentences}
     report = cxn_accuracy(tagged, gold, speakers)
     return {
         "cell": {type(v) for row in report.confusion for v in row},

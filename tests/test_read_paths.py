@@ -1,10 +1,10 @@
 """Property tests for the two read paths.
 
 The block reader must give what the frozen line-by-line reader
-(``reference_conllu``) gives; ``cxntag.tag_conllu``, which tags each
-sentence as the reader yields it, must give what reading the whole file
-and tagging it gives; and ``tag-cxn``/``case-study`` must not depend on
-``--jobs``.
+(``reference_conllu``) gives; ``cxntag._tag_each`` over ``iter_sentences``,
+which tags each sentence as the reader yields it, must give what reading
+the whole file and tagging it gives; and ``tag-cxn``/``case-study`` must
+give the same output whatever ``--jobs`` says.
 On the same inputs, writing a lenient read and reading it again gives the
 same sentences, and ``normalize`` gives a valid fixed point.
 """
@@ -27,11 +27,12 @@ from cait.conllu import (
     Treebank,
     conllu_string,
     default_label_map,
+    iter_sentences,
     normalize,
     read_conllu,
     validate,
 )
-from cait.cxntag import Backend, FormulaicLexicon, TagResult, tag_conllu, tag_utterance
+from cait.cxntag import Backend, FormulaicLexicon, _tag_each, tag_utterance
 
 _KINDS = ("valid", "valid", "valid", "childes", "malformed", "fuzz")
 
@@ -158,6 +159,15 @@ def test_block_reader_matches_reference_reader(data):
         )
 
 
+def _outcomes(sentences_and_tags):
+    """(sent_id, role, age, tag, (error type, message)) for each sentence."""
+    return [
+        (s.sent_id, s.speaker_role, s.child_age_months, tagged,
+         None if error is None else (type(error), str(error)))
+        for s, tagged, error in sentences_and_tags
+    ]
+
+
 def _read_then_tag(data: bytes, backend: Backend, lexicon: FormulaicLexicon):
     """The whole-file way: a strict read, then each sentence tagged."""
     try:
@@ -169,11 +179,9 @@ def _read_then_tag(data: bytes, backend: Backend, lexicon: FormulaicLexicon):
         try:
             tagged, error = tag_utterance(s, backend, lexicon), None
         except Exception as exc:  # noqa: BLE001 - recorded, as tag-cxn does
-            tagged, error = None, str(exc)
-        results.append(
-            TagResult(s.sent_id, s.speaker_role, s.child_age_months, tagged, error)
-        )
-    return results
+            tagged, error = None, exc
+        results.append((s, tagged, error))
+    return _outcomes(results)
 
 
 @settings(max_examples=25)
@@ -181,7 +189,8 @@ def _read_then_tag(data: bytes, backend: Backend, lexicon: FormulaicLexicon):
 def test_chunked_tagging_matches_read_then_tag(data, backend):
     lexicon = FormulaicLexicon.default()
     try:
-        got = tag_conllu(data, backend, lexicon)
+        sentences = iter_sentences(data, Strictness.STRICT)
+        got = _outcomes(_tag_each(sentences, backend, lexicon))
     except ConlluError as exc:
         got = type(exc), str(exc), getattr(exc, "line", None)
     assert got == _read_then_tag(data, backend, lexicon)
