@@ -692,11 +692,7 @@ def save_model(model: ParserModel | TaggerModel, sink: str | Path | IO) -> None:
         if line.endswith("\r"):
             kind, *_, value = line.split("\t")
             raise ValueError(f"cannot save {kind} {value!r}: it ends in a carriage return")
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-        return
-    Path(sink).write_text(text, encoding="utf-8")
+    conllu._write("\n".join(lines) + "\n", sink)
 
 
 def _number(kind: type, text: str, what: str, line_no: int):

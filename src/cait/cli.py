@@ -19,8 +19,8 @@ Every command runs in one process: ``--jobs`` has no effect.
 
 Each command loads and computes only what it prints. cait uses no numpy:
 the baseline trains and decodes in plain Python, and every count table is
-plain rows of ``int``. Every cait log record is INFO, so ``logging`` is
-loaded only for ``--log-level`` info or debug.
+plain rows of ``int``. Progress lines are plain ``INFO cait:`` writes to
+stderr at ``--log-level`` info or debug; no command loads ``logging``.
 """
 
 from __future__ import annotations
@@ -44,13 +44,6 @@ if TYPE_CHECKING:
 LEXICON_ENV_VAR = "CAIT_LEXICON"
 
 
-class _NoLog:
-    """``args.log`` below INFO: every cait record is INFO, so none can print."""
-
-    def info(self, *args: object) -> None:
-        pass
-
-
 class _UsageError(Exception):
     pass
 
@@ -63,6 +56,12 @@ def _sentences(path: str, strictness: Strictness) -> Iterator[Sentence]:
     from .conllu import iter_sentences
 
     return iter_sentences(_source(path), strictness)
+
+
+def _info(args: argparse.Namespace, message: str) -> None:
+    """A progress line on stderr, shown at ``--log-level`` info or debug."""
+    if args.log_level in ("debug", "info"):
+        sys.stderr.write(f"INFO cait: {message}\n")
 
 
 def _diagnostic_rows(sentence: Sentence, diags: list[Diagnostic]) -> list[str]:
@@ -221,12 +220,9 @@ def cmd_case_study(args: argparse.Namespace) -> int:
         ((sentence, tagged.label) for sentence, tagged in _tag_sentences(args, errors)),
         args.width,
     )
-    args.log.info(
-        "binned %d utterances into %d cells; %d unbinned",
-        sum(b.n_utterances for b in binning.bins),
-        len(binning.bins),
-        binning.unbinned,
-    )
+    n_utterances = sum(b.n_utterances for b in binning.bins)
+    _info(args, f"binned {n_utterances} utterances into {len(binning.bins)} cells; "
+                f"{binning.unbinned} unbinned")
     with _output(args.out) as sink:
         casestudy.emit_curves(
             binning.bins, sink, include_nonclausal=args.include_nonclausal
@@ -274,14 +270,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .conllu import Strictness, _read
+    from .conllu import Strictness, _violations
 
     n = bad = 0
-    # Parse defects, tree diagnostics, then a repeated sent_id: what strict
-    # reads reject.
     with _output(None, sys.stderr) as rows:
-        read = _read(_source(args.input), Strictness.LENIENT)
-        for n, (sentence, violations) in enumerate(read, 1):
+        for n, sentence in enumerate(_sentences(args.input, Strictness.LENIENT), 1):
+            violations = _violations(sentence)  # what a strict read rejects
             rows.writelines(_diagnostic_rows(sentence, violations))
             bad += bool(violations)
     sys.stdout.write(f"{n} sentences, {bad} with violations\n")
@@ -327,14 +321,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     tb = read_conllu(_source(args.input), Strictness.STRICT)
     if args.kind == "parser":
         model = baseline.train_parser(tb, epochs=args.epochs, seed=args.seed)
-        args.log.info(
-            "trained parser on %d sentences (%d non-projective skipped)",
-            len(tb.sentences) - model.n_nonprojective_skipped,
-            model.n_nonprojective_skipped,
-        )
+        skipped = model.n_nonprojective_skipped
+        _info(args, f"trained parser on {len(tb.sentences) - skipped} sentences "
+                    f"({skipped} non-projective skipped)")
     else:
         model = baseline.train_tagger(tb, epochs=args.epochs, seed=args.seed)
-        args.log.info("trained tagger on %d sentences", len(tb.sentences))
+        _info(args, f"trained tagger on {len(tb.sentences)} sentences")
     with _output(args.model) as sink:
         baseline.save_model(model, sink)
     return 0
@@ -356,11 +348,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
             normalized += len(sentence.diagnostics) > len(cleanup)
             attached += sum(len(d.token_ids) for d in cleanup)
             parsed.write(sentence_text(sentence))
-        args.log.info(
-            "parsed %d sentences: %d normalized before decoding, "
-            "%d tokens attached to the root by cleanup",
-            n, normalized, attached,
-        )
+        _info(args, f"parsed {n} sentences: {normalized} normalized before decoding, "
+                    f"{attached} tokens attached to the root by cleanup")
     return 0
 
 
@@ -402,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="warning",
         choices=["debug", "info", "warning", "error"],
     )
-    # ``main`` puts the "cait" logger in its place at info or debug.
-    parser.set_defaults(log=_NoLog())
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("eval", help="score predictions against gold")
@@ -485,27 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.log_level not in ("debug", "info"):
-        return _run(args)  # no cait record can print: logging is not loaded
-    import logging
-
-    # The "cait" logger, not the root one: a host that configured logging
-    # first would make logging.basicConfig a no-op and --log-level void.
-    # Records stop here, so a host handler on the root does not print them
-    # a second time.
-    log = args.log = logging.getLogger("cait")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    saved_level, saved_propagate = log.level, log.propagate
-    log.setLevel(getattr(logging, args.log_level.upper()))
-    log.propagate = False
-    log.addHandler(handler)
-    try:
-        return _run(args)
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(saved_level)
-        log.propagate = saved_propagate
+    return _run(args)
 
 
 # Input flags in existence-check order; train's --model is its output.

@@ -355,9 +355,32 @@ def iter_sentences(
     Same sentences, diagnostics and errors as ``read_conllu``; an error is
     raised when the reader reaches it, after the sentences before it have
     been yielded. The source is read once, a piece at a time, so neither
-    its bytes nor its text are held whole.
+    its bytes nor its text are held whole. The k-th block, if it has no
+    ``sent_id``, is named ``s{k}``. A repeated sent_id is a
+    ``duplicate-sent-id`` diagnostic; under STRICT it, like any diagnostic
+    but ``bad-age``, raises ``TreeValidationError``, and a malformed FEATS
+    column or a repeated token id raises ``ConlluFormatError``.
     """
-    return (sentence for sentence, _ in _read(source, strictness, role_map))
+    strict = strictness is Strictness.STRICT
+    roles = DEFAULT_ROLE_MAP if role_map is None else role_map
+    seen_ids: set[str] = set()
+    for index, (line_no, end_line, lines) in enumerate(_blocks(source), 1):
+        sentence = _parse_block(lines, line_no, end_line, index, strict, roles)
+        sent_id = sentence.sent_id
+        if sent_id in seen_ids:
+            sentence.diagnostics.append(
+                Diagnostic("duplicate-sent-id", f"duplicate sent_id {sent_id!r}")
+            )
+        seen_ids.add(sent_id)
+        if strict and (violations := _violations(sentence)):
+            raise TreeValidationError(sent_id, violations)
+        yield sentence
+
+
+def _violations(sentence: Sentence) -> list[Diagnostic]:
+    """What a strict read rejects of a sentence as read: every diagnostic of
+    the read but ``bad-age``, in order."""
+    return [d for d in sentence.diagnostics if d.code != "bad-age"]
 
 
 # Read, decode and split a buffer's worth at a time: a bigger piece is no
@@ -434,37 +457,6 @@ def _blocks(source: str | Path | bytes | IO) -> Iterator[tuple[int, int, list[st
         yield first, first, lines
 
 
-def _read(
-    source: str | Path | bytes | IO,
-    strictness: Strictness,
-    role_map: Mapping[str, SpeakerRole] | None = None,
-) -> Iterator[tuple[Sentence, list[Diagnostic]]]:
-    """Yield each sentence of ``source`` in file order with its violations,
-    what a strict read rejects: its ``bad-feats`` and ``duplicate-id``
-    defects, its tree diagnostics, then ``duplicate-sent-id`` when its
-    sent_id was seen before (also appended to the sentence's diagnostics).
-
-    Raises ``ConlluFormatError`` naming the line, and under STRICT
-    ``TreeValidationError`` for a sentence with a violation. The k-th
-    block, if it has no ``sent_id``, is named ``s{k}``.
-    """
-    strict = strictness is Strictness.STRICT
-    roles = DEFAULT_ROLE_MAP if role_map is None else role_map
-    seen_ids: set[str] = set()
-    blocks = _blocks(source)
-    for index, (line_no, end_line, lines) in enumerate(blocks, 1):
-        sentence, diags = _parse_block(lines, line_no, end_line, index, strict, roles)
-        sent_id = sentence.sent_id
-        if sent_id in seen_ids:
-            dup = Diagnostic("duplicate-sent-id", f"duplicate sent_id {sent_id!r}")
-            diags.append(dup)
-            sentence.diagnostics.append(dup)
-        seen_ids.add(sent_id)
-        if strict and diags:
-            raise TreeValidationError(sent_id, diags)
-        yield sentence, diags
-
-
 def _parse_block(
     lines: list[str],
     first_line: int,
@@ -472,7 +464,7 @@ def _parse_block(
     index: int,
     strict: bool,
     roles: Mapping[str, SpeakerRole],
-) -> tuple[Sentence, list[Diagnostic]]:
+) -> Sentence:
     comments: list[str] = []
     tokens: list[Token] = []
     mwt: list[MWTRange] = []
@@ -545,7 +537,7 @@ def _parse_block(
                 )
             seen.add(tok.id)
     sentence.diagnostics = parse_diags + meta_diags + tree_diags
-    return sentence, parse_diags + tree_diags
+    return sentence
 
 
 def _salvage_feats(text: str) -> dict[str, str]:
@@ -607,7 +599,12 @@ def conllu_string(tb: Treebank) -> str:
 
 
 def write_conllu(tb: Treebank, sink: str | Path | IO) -> None:
-    text = conllu_string(tb)
+    _write(conllu_string(tb), sink)
+
+
+def _write(text: str, sink: str | Path | IO) -> None:
+    """Write ``text`` to a path or a text stream, or as UTF-8 to a binary
+    stream: every file that cait writes from the Python API."""
     if hasattr(sink, "write"):
         try:
             sink.write(text)

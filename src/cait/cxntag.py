@@ -318,7 +318,11 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
         for r in sentence.mwt
         if r.start in id_map and r.end in id_map
     ]
-    empty = [e for e in sentence.empty_nodes if e.anchor in id_map or e.anchor == 0]
+    empty = [
+        replace(e, anchor=a, columns=(f"{a}.{e.sub}", *e.columns[1:]))
+        for e in sentence.empty_nodes
+        if (a := id_map.get(e.anchor, 0)) or e.anchor == 0
+    ]
 
     out = replace(
         sentence,

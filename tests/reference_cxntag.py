@@ -213,7 +213,12 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
         for r in sentence.mwt
         if r.start in id_map and r.end in id_map
     ]
-    empty = [e for e in sentence.empty_nodes if e.anchor in id_map or e.anchor == 0]
+    empty = []
+    for e in sentence.empty_nodes:
+        if e.anchor == 0 or e.anchor in id_map:
+            anchor = id_map.get(e.anchor, 0)
+            columns = (f"{anchor}.{e.sub}",) + tuple(e.columns[1:])
+            empty.append(replace(e, anchor=anchor, columns=columns))
 
     out = replace(
         sentence,

@@ -880,6 +880,55 @@ def test_log_level_holds_when_the_host_configured_logging(
     assert cait_log.propagate
 
 
+# The progress line of each command that prints one, on tests/data/corpus.conllu
+# (parse: on 8 malformed trees), with its --out (train: --model) flag.
+PROGRESS = {
+    "train-parser": (
+        ["train", "--input", "{corpus}", "--epochs", "1"], "--model",
+        "trained parser on 12 sentences (0 non-projective skipped)",
+    ),
+    "train-tagger": (
+        ["train", "--kind", "tagger", "--input", "{corpus}", "--epochs", "1"],
+        "--model", "trained tagger on 12 sentences",
+    ),
+    "parse": (
+        ["parse", "--input", "{raw}", "--model", "{parser}"], "--out",
+        "parsed 8 sentences: 2 normalized before decoding, "
+        "2 tokens attached to the root by cleanup",
+    ),
+    "case-study": (
+        ["case-study", "--input", "{corpus}"], "--out",
+        "binned 10 utterances into 2 cells; 2 unbinned",
+    ),
+}
+
+
+@pytest.mark.parametrize("level", ["debug", "info", "warning", "error"])
+@pytest.mark.parametrize("command", list(PROGRESS))
+def test_progress_lines_by_log_level(capsys, tmp_path, corpus_path, command, level):
+    files = dict(corpus=corpus_path, raw=tmp_path / "raw.conllu",
+                 parser=tmp_path / "parser.model")
+    rng = random.Random(23)
+    write_conllu(
+        build_treebank(random_malformed_sentence(rng, f"m{i}") for i in range(8)),
+        files["raw"],
+    )
+    assert main(["train", "--input", str(corpus_path), "--model",
+                 str(files["parser"]), "--epochs", "1"]) == 0
+    argv, out_flag, line = PROGRESS[command]
+    argv = [arg.format(**files) for arg in argv]
+    out_path = tmp_path / "out"
+    capsys.readouterr()
+    quiet = run(capsys, *argv, out_flag, "-")
+    to_stdout = run(capsys, "--log-level", level, *argv, out_flag, "-")
+    to_file = run(capsys, "--log-level", level, *argv, out_flag, str(out_path))
+    shown = f"INFO cait: {line}\n" if level in ("debug", "info") else ""
+    assert quiet[0] == 0 and quiet[2] == ""
+    assert to_stdout == (0, quiet[1], shown)
+    assert to_file == (0, "", shown)
+    assert out_path.read_text(encoding="utf-8") == quiet[1]
+
+
 @pytest.mark.parametrize("command", ["parse", "tag"])
 def test_bad_model_header_is_one_error_line(capsys, tmp_path, corpus_path, command):
     model = tmp_path / "bad.model"

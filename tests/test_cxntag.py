@@ -181,6 +181,24 @@ def test_strip_rewrites_the_text_comment_whatever_its_case():
     assert again.sentences[0].text == out.text
 
 
+def test_strip_moves_an_empty_node_with_its_anchor():
+    # Token 6 becomes token 4, so the empty node 6.1 after it becomes 4.1.
+    rows = [("that", "PRON", 3, "nsubj"), ("is", "AUX", 3, "cop"),
+            ("good", "ADJ", 0, "root"), (",", "PUNCT", 5, "punct"),
+            ("right", "INTJ", 3, "discourse"), (".", "PUNCT", 3, "punct")]
+    data = "# sent_id = e1\n" + "".join(
+        f"{i}\t{form}\t{form}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_\n"
+        for i, (form, upos, head, deprel) in enumerate(rows, 1)
+    ) + "6.1\tgone\tgo\tVERB\t_\t_\t_\t_\t3:conj\t_\n"
+    out = strip_tag_question(read_conllu(data.encode("utf-8")).sentences[0])
+    assert [t.form for t in out.tokens] == ["that", "is", "good", "."]
+    assert [(e.anchor, e.columns[0]) for e in out.empty_nodes] == [(4, "4.1")]
+    assert conllu_string(Treebank([out])).split("\n")[-4:-2] == [
+        "4\t.\t.\tPUNCT\t_\t_\t3\tpunct\t_\t_",
+        "4.1\tgone\tgo\tVERB\t_\t_\t_\t_\t3:conj\t_",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Canonical exemplars (both backends)
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ files follow the CoNLL-U newline rule: a leading BOM is skipped, only
 Every input flag reads stdin for "-", at most one per command, and
 ``train --model -`` writes the model to stdout. A ``tag-cxn --gold`` step
 that fails writes nothing, and neither does a ``train`` whose model has a
-value that would not load back.
+value that would not load back. Every file that the Python API writes, a
+treebank or a model, goes through ``conllu._write``.
 """
 
 import ast
@@ -61,6 +62,20 @@ def test_no_module_reads_around_the_one_reader():
     assert calls == []
 
 
+def test_one_writer_writes_every_file():
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("write_text", "write_bytes")):
+                    calls.append(f"{path.name}:{func.name} {node.func.attr}")
+    assert calls == ["conllu.py:_write write_text"]
+
+
 # ---------------------------------------------------------------------------
 # Model files
 # ---------------------------------------------------------------------------
@@ -83,6 +98,16 @@ def test_models_round_trip_with_line_breaks_inside_forms(char):
         assert char in data.decode("utf-8")
         assert baseline.load_model(data).weights == model.weights
     assert baseline.load_model(_model_bytes(tagger)).tagdict == tagger.tagdict
+
+
+def test_model_saves_to_a_binary_stream_as_utf8():
+    tb = childes_treebank(20, seed=3)
+    for model in (baseline.train_parser(tb, epochs=1, seed=0),
+                  baseline.train_tagger(tb, epochs=1, seed=0)):
+        sink = io.BytesIO()
+        baseline.save_model(model, sink)
+        assert sink.getvalue() == _model_bytes(model)
+        assert baseline.load_model(io.BytesIO(sink.getvalue())).weights == model.weights
 
 
 def test_model_file_with_bom_loads_like_one_without():

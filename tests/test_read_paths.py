@@ -232,6 +232,30 @@ def test_tagging_output_does_not_depend_on_jobs(data):
     assert results["1"] == results["3"]
 
 
+# One malformed FEATS column ("A=1|A=2", then "Foo") in a valid document.
+_BAD_FEATS = [_document(_CHILDES[0], _mutate(_CHILDES[1], "bad-feats", pos))
+              for pos in (-1, -2)]
+
+
+@settings(max_examples=300)
+@given(conllu_texts())
+@example(_LATE_DUPLICATE)
+@example(_BAD_FEATS[0])
+@example(_BAD_FEATS[1])
+def test_strict_read_rejects_exactly_what_validate_reports(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "in.conllu")
+        path.write_bytes(data)
+        code, out, _ = _run(["validate", "--input", str(path)])
+    try:
+        read_conllu(data, Strictness.STRICT)
+    except ConlluError:
+        assert code == 1
+    else:
+        assert code == 0
+        assert out.endswith(" sentences, 0 with violations\n")
+
+
 # Hand-annotated CHILDES sentences: speaker, age and text comments, ranges.
 _CORPUS = (Path(__file__).parent / "data" / "corpus.conllu").read_bytes()
 
