@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import IO, Any, Callable, Iterator, Mapping
 
@@ -231,8 +232,8 @@ _DAYS_PER_MONTH = 30.4375
 def parse_chat_age(value: str) -> float | None:
     """Parse an age given either as CHAT ``Y;MM.DD`` or as plain months."""
     value = value.strip()
-    m = _CHAT_AGE.match(value)
-    if m:
+    # A CHAT age always has a ";"; plain months never do.
+    if ";" in value and (m := _CHAT_AGE.match(value)):
         years, months = int(m.group(1)), int(m.group(2))
         days = int(m.group(3)) if m.group(3) else 0
         return years * 12 + months + days / _DAYS_PER_MONTH
@@ -245,33 +246,10 @@ def parse_chat_age(value: str) -> float | None:
 
 def _metadata_item(comment: str) -> tuple[str, str]:
     """The lower-cased key and the value of a ``# key = value`` comment; the
-    key is "" without a ``=``."""
+    key is "" without a ``=``. ``iter_sentences`` applies the same rule."""
     # The match of ^#\s*([^=]+?)\s*=\s*(.*)$ for every key the reader names.
     key, sep, value = comment[1:].partition("=")
     return (key.strip().lower() if sep else ""), value.lstrip()
-
-
-def _extract_metadata(
-    comments: list[str], role_map: Mapping[str, SpeakerRole]
-) -> tuple[str | None, str | None, SpeakerRole, float | None, list[Diagnostic]]:
-    sent_id = None
-    text = None
-    role = SpeakerRole.OTHER
-    age: float | None = None
-    diags: list[Diagnostic] = []
-    for line in comments:
-        key, value = _metadata_item(line)
-        if key == "sent_id":
-            sent_id = value
-        elif key == "text":
-            text = value
-        elif key == "speaker":
-            role = role_map.get(value.strip().lower(), SpeakerRole.OTHER)
-        elif key in ("child_age", "age_months"):
-            age = parse_chat_age(value)
-            if age is None:
-                diags.append(Diagnostic("bad-age", f"unparseable age {value!r}"))
-    return sent_id, text, role, age, diags
 
 
 def table_lines(source: str | Path | bytes | IO) -> Iterator[tuple[int, str]]:
@@ -279,7 +257,7 @@ def table_lines(source: str | Path | bytes | IO) -> Iterator[tuple[int, str]]:
     table file that is neither blank nor a ``#`` comment. The file is read
     through ``_lines``; invalid UTF-8 is a ``ValueError`` that names it."""
     try:
-        for line_no, raw in enumerate(_lines(source), 1):
+        for line_no, raw in enumerate(chain.from_iterable(_lines(source)), 1):
             line = raw.strip()
             if line and not line.startswith("#"):
                 yield line_no, line
@@ -345,6 +323,11 @@ def read_conllu(
     return Treebank(list(iter_sentences(source, strictness, role_map)))
 
 
+# The ids and heads of all but very long sentences, parsed: a lookup here
+# takes about a fifth of the time of str.isdecimal and int.
+_DECIMALS = {str(i): i for i in range(1000)}
+
+
 def iter_sentences(
     source: str | Path | bytes | IO,
     strictness: Strictness = Strictness.STRICT,
@@ -355,26 +338,145 @@ def iter_sentences(
     Same sentences, diagnostics and errors as ``read_conllu``; an error is
     raised when the reader reaches it, after the sentences before it have
     been yielded. The source is read once, a piece at a time, so neither
-    its bytes nor its text are held whole. The k-th block, if it has no
-    ``sent_id``, is named ``s{k}``. A repeated sent_id is a
-    ``duplicate-sent-id`` diagnostic; under STRICT it, like any diagnostic
-    but ``bad-age``, raises ``TreeValidationError``, and a malformed FEATS
-    column or a repeated token id raises ``ConlluFormatError``.
+    its bytes nor its text are held whole, and each line is parsed once:
+    a comment's metadata is read as it arrives, and a token line is
+    checked as it is built. The k-th block, if it has no ``sent_id``, is
+    named ``s{k}``. A block whose tokens plainly form a tree (ids 1..n,
+    no range, no head past n, one head 0 and it alone ``root``, no cycle)
+    has no tree diagnostic; any other is checked by ``validate``, which
+    owns every tree diagnostic. A repeated sent_id is a ``duplicate-sent-id``
+    diagnostic; under STRICT it, like any diagnostic but ``bad-age``,
+    raises ``TreeValidationError``, and a malformed FEATS column or a
+    repeated token id raises ``ConlluFormatError``.
     """
     strict = strictness is Strictness.STRICT
     roles = DEFAULT_ROLE_MAP if role_map is None else role_map
     seen_ids: set[str] = set()
-    for index, (line_no, end_line, lines) in enumerate(_blocks(source), 1):
-        sentence = _parse_block(lines, line_no, end_line, index, strict, roles)
+    index = 0
+    comments, tokens, mwt, empty = [], [], [], []
+    # heads[i] is token i's head, as _cycles takes them.
+    heads, token_lines, parse_diags, meta_diags = [0], [], [], []
+    other = SpeakerRole.OTHER
+    sent_id = text = age = None
+    role = other
+    plain = True  # no token line so far breaks a rule of a valid tree
+    # A None after the last line closes a block that the input ends inside.
+    lines = chain(chain.from_iterable(_lines(source)), (None,))
+    for line_no, line in enumerate(lines, 1):
+        if line:
+            if line[0] == "#":
+                comments.append(line)
+                # _metadata_item's key rule, inline: a call per comment costs
+                # about 3 % of a read.
+                key, sep, value = line[1:].partition("=")
+                if not sep:
+                    continue
+                key = key.strip().lower()
+                if key == "sent_id":
+                    sent_id = value.lstrip()
+                elif key == "text":
+                    text = value.lstrip()
+                elif key == "speaker":
+                    role = roles.get(value.strip().lower(), other)
+                elif key == "child_age" or key == "age_months":
+                    value = value.lstrip()
+                    age = parse_chat_age(value)
+                    if age is None:
+                        meta_diags.append(
+                            Diagnostic("bad-age", f"unparseable age {value!r}")
+                        )
+                continue
+            fields = line.split("\t")
+            if len(fields) != 10:
+                raise ConlluFormatError(
+                    f"expected 10 tab-separated fields, got {len(fields)}", line_no
+                )
+            idf, form, lemma, upos, xpos, feats, head, deprel, deps, misc = fields
+            tid = _DECIMALS.get(idf)
+            # str.isdecimal is the regex \d+ exactly: Unicode category Nd.
+            if tid is None and idf.isdecimal():
+                tid = int(idf)
+            if tid is not None:
+                if (number := _DECIMALS.get(head)) is not None:
+                    head = number
+                elif head.isdecimal():
+                    head = int(head)
+                elif head == "_":
+                    head = 0
+                else:
+                    raise ConlluFormatError(f"non-integer head {head!r}", line_no)
+                try:
+                    feats = {} if feats == "_" else parse_feats(feats)
+                except ValueError as exc:
+                    if strict:
+                        raise ConlluFormatError(str(exc), line_no) from None
+                    parse_diags.append(
+                        Diagnostic("bad-feats", f"{exc} (kept first value)")
+                    )
+                    feats = _salvage_feats(feats)
+                tokens.append(Token(tid, form, lemma, upos, xpos, feats,
+                                    head, deprel, deps, misc))
+                heads.append(head)
+                token_lines.append(line_no)
+                # Ids 1..n in order, and "root" exactly on head 0.
+                if tid != len(tokens) or (not head) != (deprel == "root"):
+                    plain = False
+                continue
+            start, sep, end = idf.partition("-")
+            if sep and start.isdecimal() and end.isdecimal():
+                mwt.append(MWTRange(int(start), int(end), form, misc))
+                continue
+            anchor, sep, sub = idf.partition(".")
+            if sep and anchor.isdecimal() and sub.isdecimal():
+                empty.append(EmptyNode(int(anchor), int(sub), tuple(fields)))
+                continue
+            raise ConlluFormatError(f"non-integer id {idf!r}", line_no)
+
+        if not tokens:
+            if comments or mwt or empty:
+                if line is None:  # the input ends inside it: name its first line
+                    line_no -= len(comments) + len(mwt) + len(empty)
+                raise ConlluFormatError("sentence block has no token lines", line_no)
+            continue
+        index += 1
+        sentence = Sentence(
+            f"s{index}" if sent_id is None else sent_id,
+            role, age, text, tokens, mwt, empty, comments, parse_diags + meta_diags,
+        )
+        # The tree is plainly valid when, on top of the per-token checks,
+        # it has no range, one head 0 (heads[0] is the other 0), no head
+        # past n and no cycle (a self-loop is one): validate finds nothing.
+        if not (plain and not mwt and heads.count(0) == 2
+                and max(heads) <= len(tokens) and not _cycles(heads)):
+            tree_diags = validate(sentence)
+            # A valid tree has ids 1..n, hence none twice.
+            if tree_diags and any(tok.id != i for i, tok in enumerate(tokens, 1)):
+                seen: set[int] = set()
+                for tok, tok_line in zip(tokens, token_lines):
+                    if tok.id in seen:
+                        if strict:
+                            raise ConlluFormatError(
+                                f"duplicate token id {tok.id}", tok_line
+                            )
+                        parse_diags.append(Diagnostic(
+                            "duplicate-id", f"duplicate token id {tok.id}", (tok.id,)
+                        ))
+                    seen.add(tok.id)
+            sentence.diagnostics = parse_diags + meta_diags + tree_diags
         sent_id = sentence.sent_id
         if sent_id in seen_ids:
             sentence.diagnostics.append(
                 Diagnostic("duplicate-sent-id", f"duplicate sent_id {sent_id!r}")
             )
         seen_ids.add(sent_id)
-        if strict and (violations := _violations(sentence)):
+        if strict and sentence.diagnostics and (violations := _violations(sentence)):
             raise TreeValidationError(sent_id, violations)
         yield sentence
+        comments, tokens, mwt, empty = [], [], [], []
+        heads, token_lines, parse_diags, meta_diags = [0], [], [], []
+        sent_id = text = age = None
+        role = other
+        plain = True
 
 
 def _violations(sentence: Sentence) -> list[Diagnostic]:
@@ -388,13 +490,13 @@ def _violations(sentence: Sentence) -> list[Diagnostic]:
 _CHUNK = io.DEFAULT_BUFFER_SIZE
 
 
-def _lines(source: str | Path | bytes | IO) -> Iterator[str]:
-    """Yield the lines of ``source``, read once: a path (opened in binary
-    mode), bytes, or a binary or text stream, taken as given. Bytes are
-    UTF-8 (a bad byte is a ``ConlluFormatError`` at line 0 that gives its
-    position in the whole input), a leading BOM is skipped, only ``\n``
-    ends a line and trailing CRs are dropped; the text after the last
-    ``\n``, empty or not, is the last line."""
+def _lines(source: str | Path | bytes | IO) -> Iterator[list[str]]:
+    """Yield the lines of ``source``, a piece's list at a time, read once: a
+    path (opened in binary mode), bytes, or a binary or text stream, taken
+    as given. Bytes are UTF-8 (a bad byte is a ``ConlluFormatError`` at
+    line 0 that gives its position in the whole input), a leading BOM is
+    skipped, only ``\n`` ends a line and trailing CRs are dropped; the text
+    after the last ``\n``, empty or not, is the last line."""
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     if not hasattr(source, "read"):
@@ -422,8 +524,7 @@ def _lines(source: str | Path | bytes | IO) -> Iterator[str]:
         split = text.split("\n")
         if chunk:
             split.pop()  # the empty string after the piece's last newline
-        for line in split:
-            yield line.rstrip("\r")
+        yield [line.rstrip("\r") for line in split] if "\r" in text else split
         if not chunk:
             return
 
@@ -437,107 +538,6 @@ def _decode_error(exc: UnicodeDecodeError, offset: int) -> ConlluFormatError:
         where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
     reason = f"'utf-8' codec can't decode {where}: {exc.reason}"
     return ConlluFormatError(f"input is not valid UTF-8: {reason}", 0)
-
-
-def _blocks(source: str | Path | bytes | IO) -> Iterator[tuple[int, int, list[str]]]:
-    """Yield (first line, closing line, lines) per sentence block of the
-    ``_lines`` of ``source``. The closing line is the blank line after the
-    block, or the block's first line when the input ends inside it."""
-    lines: list[str] = []
-    first = 0
-    for line_no, line in enumerate(_lines(source), 1):
-        if line:
-            if not lines:
-                first = line_no
-            lines.append(line)
-        elif lines:
-            yield first, line_no, lines
-            lines = []
-    if lines:
-        yield first, first, lines
-
-
-def _parse_block(
-    lines: list[str],
-    first_line: int,
-    end_line: int,
-    index: int,
-    strict: bool,
-    roles: Mapping[str, SpeakerRole],
-) -> Sentence:
-    comments: list[str] = []
-    tokens: list[Token] = []
-    mwt: list[MWTRange] = []
-    empty: list[EmptyNode] = []
-    parse_diags: list[Diagnostic] = []
-    for line_no, line in enumerate(lines, first_line):
-        if line[0] == "#":
-            comments.append(line)
-            continue
-        fields = line.split("\t")
-        if len(fields) != 10:
-            raise ConlluFormatError(
-                f"expected 10 tab-separated fields, got {len(fields)}", line_no
-            )
-        # str.isdecimal is the regex \d+ exactly: Unicode category Nd.
-        idf = fields[0]
-        if idf.isdecimal():
-            head = fields[6]
-            if head.isdecimal():
-                head = int(head)
-            elif head == "_":
-                head = 0
-            else:
-                raise ConlluFormatError(f"non-integer head {head!r}", line_no)
-            feats = fields[5]
-            try:
-                feats = {} if feats == "_" else parse_feats(feats)
-            except ValueError as exc:
-                if strict:
-                    raise ConlluFormatError(str(exc), line_no) from None
-                parse_diags.append(Diagnostic("bad-feats", f"{exc} (kept first value)"))
-                feats = _salvage_feats(feats)
-            tokens.append(
-                Token(int(idf), fields[1], fields[2], fields[3], fields[4], feats,
-                      head, fields[7], fields[8], fields[9])
-            )
-            continue
-        start, sep, end = idf.partition("-")
-        if sep and start.isdecimal() and end.isdecimal():
-            mwt.append(MWTRange(int(start), int(end), fields[1], fields[9]))
-            continue
-        anchor, sep, sub = idf.partition(".")
-        if sep and anchor.isdecimal() and sub.isdecimal():
-            empty.append(EmptyNode(int(anchor), int(sub), tuple(fields)))
-            continue
-        raise ConlluFormatError(f"non-integer id {idf!r}", line_no)
-
-    if not tokens:
-        raise ConlluFormatError("sentence block has no token lines", end_line)
-    sent_id, stext, role, age, meta_diags = _extract_metadata(comments, roles)
-    sentence = Sentence(
-        f"s{index}" if sent_id is None else sent_id,
-        role, age, stext, tokens, mwt, empty, comments,
-    )
-    tree_diags = validate(sentence)
-    # A valid tree has ids 1..n, hence none twice.
-    if tree_diags and any(tok.id != i for i, tok in enumerate(tokens, 1)):
-        token_lines = [
-            line_no
-            for line_no, line in enumerate(lines, first_line)
-            if line[0] != "#" and line.partition("\t")[0].isdecimal()
-        ]
-        seen: set[int] = set()
-        for tok, line_no in zip(tokens, token_lines):
-            if tok.id in seen:
-                if strict:
-                    raise ConlluFormatError(f"duplicate token id {tok.id}", line_no)
-                parse_diags.append(
-                    Diagnostic("duplicate-id", f"duplicate token id {tok.id}", (tok.id,))
-                )
-            seen.add(tok.id)
-    sentence.diagnostics = parse_diags + meta_diags + tree_diags
-    return sentence
 
 
 def _salvage_feats(text: str) -> dict[str, str]:
@@ -732,11 +732,18 @@ def validate(sentence: Sentence) -> list[Diagnostic]:
 
 
 def _find_cycles(toks: list[Token]) -> list[frozenset[int]]:
-    """Cycles among tokens with ids 1..n, in walk order, each once: every
-    token is walked toward head 0 until the walk meets a token that an
-    earlier walk reached, its own path, or a head outside 1..n."""
+    """Cycles among tokens with ids 1..n: ``_cycles`` of their heads, a head
+    outside 0..n taken as 0."""
     n = len(toks)
-    heads = [0] + [t.head if 0 <= t.head <= n else 0 for t in toks]
+    return _cycles([0] + [t.head if 0 <= t.head <= n else 0 for t in toks])
+
+
+def _cycles(heads: list[int]) -> list[frozenset[int]]:
+    """Cycles of ``heads`` (``heads[i]`` is token i's head, in 0..n, and
+    ``heads[0]`` is 0), in walk order, each once: every token is walked
+    toward head 0 until the walk meets a token that an earlier walk
+    reached, or its own path."""
+    n = len(heads) - 1
     walk = [0] * (n + 1)  # the walk that first reached each token
     walk[0] = -1
     cycles: list[frozenset[int]] = []
@@ -906,36 +913,72 @@ def _renumber(
     for pos, tid in enumerate(old_ids):
         positions.setdefault(tid, []).append(pos)
 
-    def resolve(old_head: int, dep_pos: int) -> int:
+    def resolve(old_head: int, dep_pos: int) -> int | None:
         # Nearest occurrence at or before the dependent, else the first after;
         # mirrors mid-sentence index resets where references stay local.
         occ = positions.get(old_head)
         if not occ:
-            return -1
+            return None
         before = [p for p in occ if p < dep_pos]
         if before:
             return before[-1] + 1
         after = [p for p in occ if p > dep_pos]
         if after:
             return after[0] + 1
-        return -1
+        return None
 
     old_first = {tid: occ[0] + 1 for tid, occ in positions.items()}
+
+    def anchor_of(old_anchor: int) -> int:
+        return old_first.get(old_anchor, 0)
+
     for pos, tok in enumerate(toks):
         tok.id = pos + 1
         if tok.head != 0:
             new_head = resolve(tok.head, pos)
-            tok.head = new_head if new_head > 0 else n + 1  # dangling, fixed later
+            tok.head = n + 1 if new_head is None else new_head  # dangling, fixed later
+        tok.deps = _map_deps(tok.deps, lambda head: resolve(head, pos), anchor_of)
     for r in mwt:
         r.start = old_first.get(r.start, 0)
         r.end = old_first.get(r.end, 0)
-    for node in empty:
-        anchor = old_first.get(node.anchor, 0)
-        node.anchor = anchor
-        cols = list(node.columns)
-        cols[0] = f"{anchor}.{node.sub}"
-        node.columns = tuple(cols)
+    # An empty node follows its anchor's first occurrence, and so do the
+    # integer heads of its DEPS.
+    empty = [_moved(node, anchor_of(node.anchor), old_first.get, anchor_of)
+             for node in empty]
     return toks, mwt, empty, diags
+
+
+def _moved(node: EmptyNode, anchor: int, head: Callable[[int], int | None],
+           anchors: Callable[[int], int | None]) -> EmptyNode:
+    """``node`` at ``anchor``, its DEPS heads renumbered by ``_map_deps``."""
+    columns = [f"{anchor}.{node.sub}", *node.columns[1:]]
+    columns[8] = _map_deps(columns[8], head, anchors)
+    return EmptyNode(anchor, node.sub, tuple(columns))
+
+
+def _map_deps(deps: str, head: Callable[[int], int | None],
+              anchor: Callable[[int], int | None]) -> str:
+    """``deps`` with each ``head:deprel`` item's head renumbered: an integer
+    head ``h`` to ``head(h)``, a decimal head ``a.b`` to ``anchor(a).b``;
+    head 0 and anchor 0 stay 0. An item whose new head or anchor is None is
+    dropped, and an emptied DEPS is ``_``. An item of any other form is
+    kept as it is."""
+    if deps == "_":
+        return deps
+    items = []
+    for item in deps.split("|"):
+        old, sep, deprel = item.partition(":")
+        whole, dot, sub = old.partition(".")
+        if not (sep and whole.isdecimal() and (not dot or sub.isdecimal())):
+            items.append(item)
+            continue
+        new = int(whole)
+        if new:  # head 0 and anchor 0 stay
+            new = (anchor if dot else head)(new)
+            if new is None:
+                continue
+        items.append(f"{new}{dot}{sub}:{deprel}")
+    return "|".join(items) or "_"
 
 
 def _shallowest_cycle_free(toks: list[Token]) -> Token:

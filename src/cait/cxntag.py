@@ -24,7 +24,9 @@ from .conllu import (
     SpeakerRole,
     Token,
     Treebank,
+    _map_deps,
     _metadata_item,
+    _moved,
     _name,
     detokenize,
     table_lines,
@@ -312,6 +314,7 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     for tok in kept:
         tok.head = id_map.get(tok.head, 0) if tok.head != 0 else 0
         tok.id = id_map[tok.id]
+        tok.deps = _map_deps(tok.deps, id_map.get, id_map.get)
 
     mwt = [
         replace(r, start=id_map[r.start], end=id_map[r.end])
@@ -319,7 +322,7 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
         if r.start in id_map and r.end in id_map
     ]
     empty = [
-        replace(e, anchor=a, columns=(f"{a}.{e.sub}", *e.columns[1:]))
+        _moved(e, a, id_map.get, id_map.get)
         for e in sentence.empty_nodes
         if (a := id_map.get(e.anchor, 0)) or e.anchor == 0
     ]

@@ -171,7 +171,7 @@ def score_sentence(
     ``universal_deprel_only`` is set. Punctuation is scored; it is only
     excluded from ``length_nopunct``.
     """
-    return _Tally().fold(gold, align(gold, pred), universal_deprel_only)
+    return _Tally(keep_scores=True).fold(gold, align(gold, pred), universal_deprel_only)
 
 
 def aggregate(scores: Sequence[SentencePairScore]) -> EvalReport:
@@ -207,9 +207,10 @@ class _Tally:
 
     def fold(
         self, gold: Sentence, pairs: _Pairs, universal_deprel_only: bool
-    ) -> SentencePairScore:
-        """Score ``gold``'s aligned pairs in one walk, fold the score with
-        the pairs' tag and deprel counts, and return it."""
+    ) -> SentencePairScore | None:
+        """Score ``gold``'s aligned pairs in one walk and fold the counts
+        with the pairs' tag and deprel counts; the ``SentencePairScore`` is
+        built, kept and returned only if the tally keeps scores."""
         heads = las = nopunct = upos = xpos = upos_filled = xpos_filled = 0
         deprels = self.deprels
         for g, p in pairs:
@@ -231,25 +232,33 @@ class _Tally:
         self.filled["upos"] += upos_filled
         self.filled["xpos"] += xpos_filled
         n = len(pairs)
-        score = SentencePairScore(gold.sent_id, n, heads, las, las == n, heads == n,
+        exact, unlabeled_exact = las == n, heads == n
+        self._count(gold.speaker_role, nopunct, n, heads, las, exact, unlabeled_exact)
+        if self.scores is None:
+            return None
+        score = SentencePairScore(gold.sent_id, n, heads, las, exact, unlabeled_exact,
                                   gold.speaker_role, nopunct)
-        self.add(score)
+        self.scores.append(score)
         return score
 
     def add(self, score: SentencePairScore) -> None:
-        n, heads, las = score.n_scored, score.n_head_correct, score.n_las_correct
-        key = (score.speaker_role, score.length_nopunct)
-        cell = self.counts.setdefault(key, [0] * 6)
+        self._count(score.speaker_role, score.length_nopunct, score.n_scored,
+                    score.n_head_correct, score.n_las_correct, score.exact,
+                    score.unlabeled_exact)
+        if self.scores is not None:
+            self.scores.append(score)
+
+    def _count(self, role: SpeakerRole, length: int, n: int, heads: int, las: int,
+               exact: bool, unlabeled_exact: bool) -> None:
+        cell = self.counts.setdefault((role, length), [0] * 6)
         cell[0] += 1
         cell[1] += n
         cell[2] += heads
         cell[3] += las
-        cell[4] += bool(score.exact)
-        cell[5] += bool(score.unlabeled_exact)
+        cell[4] += bool(exact)
+        cell[5] += bool(unlabeled_exact)
         self.las.append(100.0 * las / n if n else 100.0)
         self.uas.append(100.0 * heads / n if n else 100.0)
-        if self.scores is not None:
-            self.scores.append(score)
 
     def total(self, role=None, lo=-math.inf, hi=math.inf) -> tuple[int, ...]:
         """The summed counts of ``role`` (of all for None), lengths lo to hi."""

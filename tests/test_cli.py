@@ -475,19 +475,27 @@ def test_validate_reports_a_repeated_sent_id(capsys, tmp_path):
     assert err == "error: sentence a: duplicate sent_id 'a'\n"
 
 
-def test_validate_validates_each_sentence_once(capsys, monkeypatch, corpus_path):
+def test_validate_validates_each_broken_tree_once(capsys, monkeypatch, tmp_path):
+    # The read checks every tree in its one pass and calls conllu.validate
+    # only on a tree that breaks a rule of that check; cmd_validate reports
+    # the read's diagnostics and validates nothing again.
     from cait import conllu
 
+    rng = random.Random(8)
+    tb = childes_treebank(40, seed=8)
+    broken = [3, 4, 21]
+    for i in broken:
+        tb.sentences[i] = random_malformed_sentence(rng, tb.sentences[i].sent_id)
+    path = tmp_path / "in.conllu"
+    write_conllu(tb, path)
     calls = []
     real = conllu.validate
     monkeypatch.setattr(
         conllu, "validate", lambda sentence: calls.append(sentence) or real(sentence)
     )
-    code, out, _ = run(capsys, "validate", "--input", str(corpus_path))
-    n = len(calls)
-    assert code == 0
-    assert out == f"{n} sentences, 0 with violations\n"
-    assert n == len(read_conllu(corpus_path).sentences)
+    code, out, _ = run(capsys, "validate", "--input", str(path))
+    assert (code, out) == (1, "40 sentences, 3 with violations\n")
+    assert [s.sent_id for s in calls] == [tb.sentences[i].sent_id for i in broken]
 
 
 def test_normalize_output_composes_with_eval_and_tag_cxn(capsys, tmp_path):

@@ -435,6 +435,26 @@ def test_normalize_repairs_mid_sentence_index_reset():
     assert out.tokens[3].head == 3
 
 
+def test_normalize_renumbers_enhanced_dependencies_with_the_heads():
+    # Ids 10-12 become 1-3. A DEPS head follows as HEAD does: an integer head
+    # to the token it named, a decimal head with its anchor, head 0 stays;
+    # an item whose head is no token is dropped, and an emptied DEPS is "_".
+    data = (
+        "# sent_id = d1\n"
+        "10\tI\tI\tPRON\t_\t_\t11\tnsubj\t11:nsubj|11.1:nsubj:xsubj\t_\n"
+        "11\tgo\tgo\tVERB\t_\t_\t0\troot\t0:root|40:dep\t_\n"
+        "11.1\tgo\tgo\tVERB\t_\t_\t_\t_\t11:conj|10:nsubj\t_\n"
+        "12\t.\t.\tPUNCT\t_\t_\t11\tpunct\t40:dep\t_\n\n"
+    )
+    sentence = read_conllu(data.encode("utf-8"), Strictness.LENIENT).sentences[0]
+    out = normalize(sentence)
+    assert [t.deps for t in out.tokens] == ["2:nsubj|2.1:nsubj:xsubj", "0:root", "_"]
+    assert out.empty_nodes[0].columns == (
+        "2.1", "go", "go", "VERB", "_", "_", "_", "_", "2:conj|1:nsubj", "_"
+    )
+    assert normalize(out) == out
+
+
 def test_normalize_idempotent_and_count_preserving_on_malformed():
     rng = random.Random(11)
     label_map = default_label_map()

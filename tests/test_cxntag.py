@@ -181,6 +181,26 @@ def test_strip_rewrites_the_text_comment_whatever_its_case():
     assert again.sentences[0].text == out.text
 
 
+def test_strip_renumbers_enhanced_dependencies_with_the_heads():
+    # Token 6 becomes token 4 and token 5 goes: DEPS heads on 6 and 6.1
+    # follow, and an item whose head was stripped is dropped.
+    rows = [("that", "PRON", 3, "nsubj", "3:nsubj|6.1:nsubj"),
+            ("is", "AUX", 3, "cop", "3:cop"), ("good", "ADJ", 0, "root", "0:root"),
+            (",", "PUNCT", 5, "punct", "5:punct"),
+            ("right", "INTJ", 3, "discourse", "3:discourse"),
+            (".", "PUNCT", 3, "punct", "3:punct|5:dep")]
+    data = "# sent_id = e2\n" + "".join(
+        f"{i}\t{form}\t{form}\t{upos}\t_\t_\t{head}\t{deprel}\t{deps}\t_\n"
+        for i, (form, upos, head, deprel, deps) in enumerate(rows, 1)
+    ) + "6.1\tgone\tgo\tVERB\t_\t_\t_\t_\t6:conj|5:dep\t_\n"
+    out = strip_tag_question(read_conllu(data.encode("utf-8")).sentences[0])
+    assert [(t.form, t.deps) for t in out.tokens] == [
+        ("that", "3:nsubj|4.1:nsubj"), ("is", "3:cop"), ("good", "0:root"),
+        (".", "3:punct"),
+    ]
+    assert out.empty_nodes[0].columns[8] == "4:conj"
+
+
 def test_strip_moves_an_empty_node_with_its_anchor():
     # Token 6 becomes token 4, so the empty node 6.1 after it becomes 4.1.
     rows = [("that", "PRON", 3, "nsubj"), ("is", "AUX", 3, "cop"),
