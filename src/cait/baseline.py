@@ -20,7 +20,6 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Sequence
@@ -717,7 +716,7 @@ def load_model(source: str | Path | bytes | IO) -> ParserModel | TaggerModel:
     classes: list[str] = []
     tagdict: dict[str, str] = {}
     skipped = 0
-    lines = chain.from_iterable(conllu._lines(source))
+    lines = conllu._lines(source)
     try:
         first = next(lines)
         if not first and next(lines, None) is None:  # the last line of b""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -125,6 +124,6 @@ def emit_curves(
 def read_curves(source: str | Path | bytes | IO) -> list[dict]:
     """Parse a curves CSV, read through the CoNLL-U reader's ``_lines``, back
     into row dicts (counts as ints)."""
-    rows = csv.DictReader(chain.from_iterable(_lines(source)))
+    rows = csv.DictReader(_lines(source))
     return [{name: parse(row[name]) for name, parse in _CURVE_FIELDS.items()}
             for row in rows]

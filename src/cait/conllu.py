@@ -246,7 +246,7 @@ def parse_chat_age(value: str) -> float | None:
 
 def _metadata_item(comment: str) -> tuple[str, str]:
     """The lower-cased key and the value of a ``# key = value`` comment; the
-    key is "" without a ``=``. ``iter_sentences`` applies the same rule."""
+    key is "" without a ``=``."""
     # The match of ^#\s*([^=]+?)\s*=\s*(.*)$ for every key the reader names.
     key, sep, value = comment[1:].partition("=")
     return (key.strip().lower() if sep else ""), value.lstrip()
@@ -257,7 +257,7 @@ def table_lines(source: str | Path | bytes | IO) -> Iterator[tuple[int, str]]:
     table file that is neither blank nor a ``#`` comment. The file is read
     through ``_lines``; invalid UTF-8 is a ``ValueError`` that names it."""
     try:
-        for line_no, raw in enumerate(chain.from_iterable(_lines(source)), 1):
+        for line_no, raw in enumerate(_lines(source), 1):
             line = raw.strip()
             if line and not line.startswith("#"):
                 yield line_no, line
@@ -323,11 +323,6 @@ def read_conllu(
     return Treebank(list(iter_sentences(source, strictness, role_map)))
 
 
-# The ids and heads of all but very long sentences, parsed: a lookup here
-# takes about a fifth of the time of str.isdecimal and int.
-_DECIMALS = {str(i): i for i in range(1000)}
-
-
 def iter_sentences(
     source: str | Path | bytes | IO,
     strictness: Strictness = Strictness.STRICT,
@@ -361,25 +356,19 @@ def iter_sentences(
     role = other
     plain = True  # no token line so far breaks a rule of a valid tree
     # A None after the last line closes a block that the input ends inside.
-    lines = chain(chain.from_iterable(_lines(source)), (None,))
+    lines = chain(_lines(source), (None,))
     for line_no, line in enumerate(lines, 1):
         if line:
             if line[0] == "#":
                 comments.append(line)
-                # _metadata_item's key rule, inline: a call per comment costs
-                # about 3 % of a read.
-                key, sep, value = line[1:].partition("=")
-                if not sep:
-                    continue
-                key = key.strip().lower()
+                key, value = _metadata_item(line)
                 if key == "sent_id":
-                    sent_id = value.lstrip()
+                    sent_id = value
                 elif key == "text":
-                    text = value.lstrip()
+                    text = value
                 elif key == "speaker":
                     role = roles.get(value.strip().lower(), other)
                 elif key == "child_age" or key == "age_months":
-                    value = value.lstrip()
                     age = parse_chat_age(value)
                     if age is None:
                         meta_diags.append(
@@ -392,14 +381,10 @@ def iter_sentences(
                     f"expected 10 tab-separated fields, got {len(fields)}", line_no
                 )
             idf, form, lemma, upos, xpos, feats, head, deprel, deps, misc = fields
-            tid = _DECIMALS.get(idf)
             # str.isdecimal is the regex \d+ exactly: Unicode category Nd.
-            if tid is None and idf.isdecimal():
+            if idf.isdecimal():
                 tid = int(idf)
-            if tid is not None:
-                if (number := _DECIMALS.get(head)) is not None:
-                    head = number
-                elif head.isdecimal():
+                if head.isdecimal():
                     head = int(head)
                 elif head == "_":
                     head = 0
@@ -490,18 +475,24 @@ def _violations(sentence: Sentence) -> list[Diagnostic]:
 _CHUNK = io.DEFAULT_BUFFER_SIZE
 
 
-def _lines(source: str | Path | bytes | IO) -> Iterator[list[str]]:
-    """Yield the lines of ``source``, a piece's list at a time, read once: a
-    path (opened in binary mode), bytes, or a binary or text stream, taken
-    as given. Bytes are UTF-8 (a bad byte is a ``ConlluFormatError`` at
-    line 0 that gives its position in the whole input), a leading BOM is
-    skipped, only ``\n`` ends a line and trailing CRs are dropped; the text
-    after the last ``\n``, empty or not, is the last line."""
+def _lines(source: str | Path | bytes | IO) -> Iterator[str]:
+    """The lines of ``source``, read once: a path (opened in binary mode),
+    bytes, or a binary or text stream, taken as given. Bytes are UTF-8 (a
+    bad byte is a ``ConlluFormatError`` at line 0 that gives its position
+    in the whole input), a leading BOM is skipped, only ``\n`` ends a line
+    and trailing CRs are dropped; the text after the last ``\n``, empty or
+    not, is the last line."""
+    return chain.from_iterable(_pieces(source))
+
+
+def _pieces(source: str | Path | bytes | IO) -> Iterator[list[str]]:
+    """``_lines`` a piece's list at a time, so that no generator resumes
+    per line."""
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     if not hasattr(source, "read"):
         with open(source, "rb") as stream:
-            yield from _lines(stream)
+            yield from _pieces(stream)
         return
     offset = 0
     rest = source.read(0)

@@ -149,6 +149,28 @@ def _remains_interrogative(tokens: Sequence[Token]) -> bool:
     return False
 
 
+def _renumbered_deps(deps: str, id_map: dict[int, int]) -> str:
+    """DEPS with the head of each ``head:deprel`` item (``h`` or ``a.b``,
+    where ``a`` is renumbered) sent through ``id_map``; 0 stays 0, an item
+    whose head is not in ``id_map`` is dropped, an item of another form is
+    kept as written, and nothing left is ``_``."""
+    if deps == "_":
+        return deps
+    out = []
+    for item in deps.split("|"):
+        m = re.fullmatch(r"(\d+)(\.\d+)?:(.*)", item, re.DOTALL)
+        if m is None:
+            out.append(item)
+            continue
+        head = int(m.group(1))
+        if head != 0:
+            if head not in id_map:
+                continue
+            head = id_map[head]
+        out.append(f"{head}{m.group(2) or ''}:{m.group(3)}")
+    return "|".join(out) or "_"
+
+
 def strip_tag_question(sentence: Sentence) -> Sentence:
     """Remove an utterance-final tag question and re-close the tree.
 
@@ -207,6 +229,7 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     for tok in kept:
         tok.head = id_map.get(tok.head, 0) if tok.head != 0 else 0
         tok.id = id_map[tok.id]
+        tok.deps = _renumbered_deps(tok.deps, id_map)
 
     mwt = [
         replace(r, start=id_map[r.start], end=id_map[r.end])
@@ -217,7 +240,9 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     for e in sentence.empty_nodes:
         if e.anchor == 0 or e.anchor in id_map:
             anchor = id_map.get(e.anchor, 0)
-            columns = (f"{anchor}.{e.sub}",) + tuple(e.columns[1:])
+            columns = ((f"{anchor}.{e.sub}",) + tuple(e.columns[1:8])
+                       + (_renumbered_deps(e.columns[8], id_map),)
+                       + tuple(e.columns[9:]))
             empty.append(replace(e, anchor=anchor, columns=columns))
 
     out = replace(

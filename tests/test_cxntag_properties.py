@@ -63,7 +63,7 @@ _TAGS = (
 )
 _OPS = ("tag", "tag", "shift-ids", "duplicate", "duplicate", "swap", "deprel",
         "peripheral", "upos", "head", "word", "feats", "question", "question",
-        "mwt", "empty", "text")
+        "mwt", "empty", "text", "deps")
 
 
 def _base(kind: str, seed: int) -> Sentence:
@@ -145,6 +145,17 @@ def _mutate(sentence: Sentence, op: str, rng: random.Random) -> None:
         sentence.empty_nodes.append(
             EmptyNode(anchor, 1, (f"{anchor}.1", "e") + ("_",) * 8)
         )
+    elif op == "deps":
+        # Enhanced heads, some of them gone after stripping, on a token and
+        # on an empty node.
+        items = [f"{rng.randint(0, n + 1)}:{rng.choice(_DEPRELS)}",
+                 f"{rng.randint(0, n + 1)}.1:dep", "x:dep"]
+        tok.deps = "|".join(rng.sample(items, rng.randint(1, 3)))
+        anchor = rng.randint(1, n)
+        sentence.empty_nodes.append(EmptyNode(
+            anchor, 1, (f"{anchor}.1", "e") + ("_",) * 6
+            + (f"{rng.randint(0, n + 1)}:dep|{anchor}:conj", "_")
+        ))
     else:
         sentence.text = "some text"
         sentence.comments.append("# text = some text")
@@ -204,6 +215,8 @@ _PAIRS = (
 @example(_sentence("fixture", 14, ["question"], 0))  # POS "?": PUNCT only
 @example(_sentence("valid", 1, [], 0))  # POS first content: no INTJ
 @example(_sentence("london", 0, ["duplicate"], 0))  # the removed tag's text
+@example(_sentence("london", 0, ["shift-ids", "deps"], 0))  # DEPS renumbered
+@example(_sentence("london", 0, ["deps"], 18))  # DEPS heads that were stripped
 def test_tagging_matches_reference(sentence):
     for s in (sentence, _lenient(sentence)):
         for live, reference in _PAIRS:
