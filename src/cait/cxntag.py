@@ -181,6 +181,7 @@ TAG_QUESTION_SURFACE = frozenset(
      for aux, pron in itertools.product(_TAG_AUXES, _TAG_PRONOUNS)]
     + ["okay", "ok", "right", "huh", "eh", "yeah"]
 )
+_TAG_LAST_WORDS = frozenset(tag.rpartition(" ")[2] for tag in TAG_QUESTION_SURFACE)
 
 
 def _structural_tag_span(view: _View) -> set[int] | None:
@@ -225,6 +226,13 @@ def _structural_tag_span(view: _View) -> set[int] | None:
 
 def _surface_tag_span(view: _View) -> set[int] | None:
     content = view.content
+    if len(content) < 2:
+        return None
+    # A tail that is a tag ends in the last word of its last form, unless
+    # that form normalizes to "" ("okay ?" with a "?" that is not PUNCT).
+    last = normalize_utterance(content[-1].form)
+    if last and last.rpartition(" ")[2] not in _TAG_LAST_WORDS:
+        return None
     for k in (3, 2, 1):
         if len(content) - k < 1:
             continue
@@ -272,12 +280,19 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     is itself interrogative. Identity when no tag is present. Idempotent
     on an utterance with one appended tag; of two stacked tags, each call
     removes the last. The removed surface text is logged as a
-    ``tag-question`` diagnostic.
+    ``tag-question`` diagnostic. Builds one view of the sentence, and one
+    more of a stripped result, which ``tag_utterance`` tags.
     """
-    view = _View(sentence)
+    return _strip(_View(sentence))[0]
+
+
+def _strip(view: _View) -> tuple[Sentence, _View]:
+    """``strip_tag_question`` on a view: the sentence it returns, and that
+    sentence's view, which is ``view`` itself when nothing is stripped."""
+    sentence = view.sentence
     span = _structural_tag_span(view) or _surface_tag_span(view)
     if span is None:
-        return sentence
+        return sentence, view
     toks = sentence.tokens
 
     removed = set(span)
@@ -296,7 +311,7 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     stripped_text = " ".join(t.form for t in toks if t.id in removed)
     kept = [t.copy() for t in toks if t.id not in removed]
     if not kept:
-        return sentence
+        return sentence, view
 
     root_id = next((t.id for t in kept if t.head == 0), kept[0].id)
     for tok in kept:
@@ -342,69 +357,45 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
         f"# text = {new_text}" if _metadata_item(c)[0] == "text" else c
         for c in out.comments
     ]
-    return out
+    return out, _View(out)
 
 
 # ---------------------------------------------------------------------------
 # Sentence view and shared rule helpers
 # ---------------------------------------------------------------------------
 
-class _cached:
-    """``functools.cached_property`` without its lock, which Python 3.11
-    takes on the first read of every new instance: the value is computed on
-    first read and stored in the instance ``__dict__``, which later reads
-    find before this descriptor."""
-
-    def __init__(self, func: Callable):
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class _View:
     """One sentence as tag-question stripping and both decision lists read
-    it. Each public call builds one. The parts that only some rules read are
-    computed on first use, and the cheapest on every use."""
+    it, built in one pass over the tokens; the cheapest parts are computed
+    on every use. Each public call views its sentence once, and stripping a
+    tag question views the result once more, the view that ``tag_utterance``
+    hands on to the decision list."""
 
     def __init__(self, sentence: Sentence):
         self.sentence = sentence
         self.tokens = sentence.tokens
-        self.content = [t for t in self.tokens if t.upos != "PUNCT"]
-
-    @_cached
-    def root(self) -> Token | None:
-        return self.sentence.root()
-
-    @_cached
-    def by_id(self) -> dict[int, Token]:
-        # The last token of a duplicate id wins.
-        return {t.id: t for t in self.tokens}
-
-    @_cached
-    def children(self) -> dict[int, list[tuple[Token, str]]]:
-        """(token, deprel base) pairs by head id, each list in token order."""
-        children: dict[int, list[tuple[Token, str]]] = {}
+        self.root: Token | None = None
+        self.content: list[Token] = []
+        self.by_id: dict[int, Token] = {}  # the last token of a duplicate id wins
+        # (token, deprel base) pairs by head id, each list in token order.
+        self.children: dict[int, list[tuple[Token, str]]] = {}
+        peripheral = []
         for tok in self.tokens:
-            children.setdefault(tok.head, []).append((tok, tok.deprel_base))
-        return children
-
-    @_cached
-    def first_core(self) -> Token | None:
-        """The first content token outside discourse and vocative subtrees."""
-        peripheral: set[int] = set()
-        for siblings in self.children.values():
-            for tok, base in siblings:
-                if base in ("discourse", "vocative"):
-                    peripheral |= _subtree_ids(self, tok.id)
-        for tok in self.content:
-            if tok.id not in peripheral:
-                return tok
-        return None
+            base = tok.deprel_base
+            if tok.upos != "PUNCT":
+                self.content.append(tok)
+            if tok.head == 0 and self.root is None:
+                self.root = tok
+            self.by_id[tok.id] = tok
+            self.children.setdefault(tok.head, []).append((tok, base))
+            if base in ("discourse", "vocative"):
+                peripheral.append(tok.id)
+        # The first content token outside discourse and vocative subtrees.
+        core = self.content
+        if peripheral:
+            outside = set().union(*(_subtree_ids(self, i) for i in peripheral))
+            core = [t for t in core if t.id not in outside]
+        self.first_core = core[0] if core else None
 
     @property
     def pos_first(self) -> Token | None:
@@ -786,11 +777,14 @@ def tag_ud(
     sentence: Sentence, lexicon: FormulaicLexicon | None = None
 ) -> TaggedUtterance:
     """First matching step of the UD decision list wins."""
-    view = _View(sentence)
-    missing = [t.id for t in sentence.tokens if t.upos == "_" or t.deprel == "_"]
+    return _tag_ud(_View(sentence), lexicon)
+
+
+def _tag_ud(view: _View, lexicon: FormulaicLexicon | None) -> TaggedUtterance:
+    missing = [t.id for t in view.tokens if t.upos == "_" or t.deprel == "_"]
     if missing and not _is_exclusion(view, lexicon):
         raise MissingAnnotationError(
-            f"sentence {sentence.sent_id}: tokens {missing} lack UPOS or deprel "
+            f"sentence {view.sentence.sent_id}: tokens {missing} lack UPOS or deprel "
             "annotation; use the POS_RULES backend for un-parsed input"
         )
     return _first_match(view, Backend.UD_RULES, UD_RULES, lexicon)
@@ -818,12 +812,14 @@ def tag_utterance(
     backend: Backend = Backend.UD_RULES,
     lexicon: FormulaicLexicon | None = None,
 ) -> TaggedUtterance:
-    """Strip an utterance-final tag question, then run one backend."""
-    stripped = strip_tag_question(sentence)
+    """Strip an utterance-final tag question, then run one backend on the
+    view that stripping built: one view for an utterance that keeps its
+    tail, two for one whose tag question is stripped."""
+    stripped, view = _strip(_View(sentence))
     if backend is Backend.UD_RULES:
-        tagged = tag_ud(stripped, lexicon)
+        tagged = _tag_ud(view, lexicon)
     else:
-        tagged = tag_pos(stripped, lexicon)
+        tagged = _first_match(view, Backend.POS_RULES, POS_RULES, lexicon)
     if stripped is not sentence:  # the removed text is its last diagnostic
         tagged.stripped_tag_question = stripped.diagnostics[-1].message
     return tagged

@@ -1,5 +1,6 @@
 import pytest
 
+from cait import cxntag
 from cait.conllu import SpeakerRole, Treebank, conllu_string, read_conllu, validate
 from cait.cxntag import (
     CXN_LABEL_ORDER,
@@ -367,6 +368,32 @@ def test_tag_records_stripped_text():
     tagged = tag_utterance(london_gold())
     assert tagged.stripped_tag_question == "was n't it ?"
     assert tagged.label is CxnLabel.COP
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_tag_utterance_views_an_utterance_once_unless_it_strips(
+    monkeypatch, corpus_bytes, backend
+):
+    # Stripping hands its view to the decision list: one view for an
+    # utterance that keeps its tail, and one more for a stripped utterance.
+    sentences = read_conllu(corpus_bytes).sentences
+    stripped = [strip_tag_question(s) is not s for s in sentences]
+    assert 0 < sum(stripped) < len(sentences)
+    built = []
+
+    class CountedView(cxntag._View):
+        def __init__(self, sentence):
+            built.append(sentence)
+            super().__init__(sentence)
+
+    monkeypatch.setattr(cxntag, "_View", CountedView)
+    for sentence, was_stripped in zip(sentences, stripped):
+        built.clear()
+        try:
+            tag_utterance(sentence, backend)
+        except MissingAnnotationError:
+            pass
+        assert len(built) == 1 + was_stripped, sentence.sent_id
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,10 @@ _UPOS = ("PUNCT", "AUX", "VERB", "INTJ", "PRON", "NOUN", "PROPN", "SCONJ",
          "DET", "ADV", "_")
 _WORDS = ("what", "such", "a", "let", "'s", "us", "you", "be", "is", "not",
           "n't", "xxx", "want", "hello", "thank", "there", ",", "?", "right",
-          "okay", "it", "do", "can", "where")
+          "okay", "it", "do", "can", "where",
+          # Forms that normalize_utterance changes (the surface tag check's
+          # pre-check must read them as it does).
+          "isn't", "n’t", "IT", "okay?", "(okay", "is it", "OK")
 _FEATS = ({}, {"PronType": "Int"}, {"Mood": "Imp"}, {"VerbForm": "Part"},
           {"VerbForm": "Ger"}, {"VerbForm": "Inf"}, {"Voice": "Pass"})
 _TAGS = (
@@ -60,6 +63,19 @@ _TAGS = (
     [("okay", "okay", "INTJ", "dep")],
     [("is", "be", "AUX", "dep"), ("n't", "not", "PART", "dep"),
      ("it", "it", "PRON", "dep")],
+    # One rule of normalize_utterance each: a one-token contraction, a curly
+    # one, upper case, terminal punctuation inside a form, a last content
+    # token that normalizes to "", and a form with an inner space.
+    [("isn't", "be", "AUX", "parataxis"), ("it", "it", "PRON", "nsubj")],
+    [("is", "be", "AUX", "dep"), ("n’t", "not", "PART", "dep"),
+     ("it", "it", "PRON", "dep")],
+    [("IS", "be", "AUX", "dep"), ("n't", "not", "PART", "dep"),
+     ("IT", "it", "PRON", "dep")],
+    [("okay?", "okay", "INTJ", "discourse")],
+    [("(okay", "okay", "INTJ", "discourse")],
+    [("okay", "okay", "INTJ", "dep"), ("?", "?", "SYM", "dep")],
+    [("right", "right", "INTJ", "discourse"), (",", ",", "X", "dep")],
+    [("is it", "be", "AUX", "discourse")],
 )
 _OPS = ("tag", "tag", "shift-ids", "duplicate", "duplicate", "swap", "deprel",
         "peripheral", "upos", "head", "word", "feats", "question", "question",
@@ -217,6 +233,15 @@ _PAIRS = (
 @example(_sentence("london", 0, ["duplicate"], 0))  # the removed tag's text
 @example(_sentence("london", 0, ["shift-ids", "deps"], 0))  # DEPS renumbered
 @example(_sentence("london", 0, ["deps"], 18))  # DEPS heads that were stripped
+# The surface check's pre-check reads the last form as normalize_utterance does.
+@example(_sentence("fixture", 0, ["tag"], 19))  # one-token "isn't it"
+@example(_sentence("fixture", 0, ["tag"], 1))  # curly "is n’t it": no surface tag
+@example(_sentence("fixture", 0, ["tag"], 0))  # upper case: "IS n't IT"
+@example(_sentence("fixture", 0, ["tag"], 3))  # "okay?"
+@example(_sentence("fixture", 0, ["tag"], 20))  # "(okay"
+@example(_sentence("fixture", 0, ["tag"], 32))  # "okay", then a "?" that is not PUNCT
+@example(_sentence("fixture", 23, ["tag"], 17))  # "right", then a "," that is not PUNCT
+@example(_sentence("fixture", 0, ["tag"], 5))  # "is it": a form with a space
 def test_tagging_matches_reference(sentence):
     for s in (sentence, _lenient(sentence)):
         for live, reference in _PAIRS:
