@@ -118,12 +118,13 @@ _TERMINAL_PUNCT = " \t.,!?;:…\"»«()[]"
 # detection looks up, repeat heavily.
 @lru_cache(maxsize=4096)
 def normalize_utterance(text: str) -> str:
-    """Case-fold, strip terminal punctuation, collapse whitespace and close
-    up tokenized contractions ("do n't" -> "don't", "you 're" -> "you're")."""
-    t = text.casefold().strip(_TERMINAL_PUNCT)
+    """Case-fold, fold the curly apostrophe into the straight one, strip
+    terminal punctuation, collapse whitespace and close up tokenized
+    contractions ("do n’t" -> "don't", "you 're" -> "you're")."""
+    t = text.casefold().replace("’", "'").strip(_TERMINAL_PUNCT)
     t = " ".join(t.split())
-    t = t.replace(" n't", "n't").replace(" n’t", "n’t")
-    t = re.sub(r"\s+(?=['’])", "", t)
+    t = t.replace(" n't", "n't")
+    t = re.sub(r"\s+(?=')", "", t)
     return t
 
 

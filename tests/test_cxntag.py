@@ -55,6 +55,21 @@ def test_normalize_utterance():
     assert normalize_utterance("do n't") == "don't"
 
 
+def test_normalize_utterance_folds_the_curly_apostrophe():
+    assert normalize_utterance("do n’t") == "don't"
+    assert normalize_utterance("you ’re welcome .") == "you're welcome"
+    assert normalize_utterance("Is N’T it ?") == "isn't it"
+
+
+def test_curly_input_matches_a_straight_lexicon_pattern(tmp_path):
+    path = tmp_path / "lex.txt"
+    path.write_text("don't worry\n", encoding="utf-8")
+    lex = FormulaicLexicon.from_file(path)
+    assert "Don’t worry !" in lex
+    assert "do n’t worry" in lex
+    assert FormulaicLexicon.from_file(b"don\xe2\x80\x99t worry\n").patterns == lex.patterns
+
+
 def test_lexicon_exact_match_only():
     lex = FormulaicLexicon.default()
     assert "hello ." in lex
@@ -95,6 +110,27 @@ def test_strip_thats_good_isnt_it():
     out = strip_tag_question(sentence)
     assert [t.form for t in out.tokens] == ["that", "'s", "good", "."]
     assert validate(out) == []
+
+
+@pytest.mark.parametrize("negation", ["n't", "n’t"])
+def test_a_curly_tag_question_is_stripped_like_a_straight_one(negation):
+    # "hello . , is n’t it ?" with the tag attached as dep: the surface check
+    # reads "is n’t it" as "isn't it".
+    sentence = build_sentence("curly", [
+        ("hello", "hello", "INTJ", 0, "root"),
+        (".", ".", "PUNCT", 1, "punct"),
+        (",", ",", "PUNCT", 1, "punct"),
+        ("is", "be", "AUX", 1, "dep"),
+        (negation, "not", "PART", 4, "dep"),
+        ("it", "it", "PRON", 4, "dep"),
+        Q(1),
+    ])
+    out = strip_tag_question(sentence)
+    assert [t.form for t in out.tokens] == ["hello", ".", "."]
+    for backend in Backend:
+        tagged = tag_utterance(sentence, backend)
+        assert tagged.label is CxnLabel.FOR
+        assert tagged.stripped_tag_question is not None
 
 
 def test_strip_identity_when_no_tag():

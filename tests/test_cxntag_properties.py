@@ -235,7 +235,7 @@ _PAIRS = (
 @example(_sentence("london", 0, ["deps"], 18))  # DEPS heads that were stripped
 # The surface check's pre-check reads the last form as normalize_utterance does.
 @example(_sentence("fixture", 0, ["tag"], 19))  # one-token "isn't it"
-@example(_sentence("fixture", 0, ["tag"], 1))  # curly "is n’t it": no surface tag
+@example(_sentence("fixture", 0, ["tag"], 1))  # curly "is n’t it", read as "isn't it"
 @example(_sentence("fixture", 0, ["tag"], 0))  # upper case: "IS n't IT"
 @example(_sentence("fixture", 0, ["tag"], 3))  # "okay?"
 @example(_sentence("fixture", 0, ["tag"], 20))  # "(okay"
