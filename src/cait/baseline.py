@@ -6,9 +6,15 @@ sentences (non-projective ones are skipped and counted), decoding is
 greedy, and all randomness comes from one seed. Classes (transitions or
 tags) are columns sorted by name, and the lowest column among equal scores
 breaks ties on the name. Training keeps exact integer weights, each
-feature's packed into one int, so a score vector is a sum of a few ints;
-decoding adds each feature's sparse float weights in feature order. Plain
-Python does both: no command loads numpy. Terminal cleanup after decoding
+feature's packed into one int of 32-bit fields (64-bit once scores could
+outgrow them), so a score vector is a sum of a few ints, and one guard-bit
+subtraction tells whether the oracle's class wins. Decoding sums the
+averaged weights the same way in 32-bit fixed point, which is exact to
+within k/2 units for k features; only when the top two candidates are
+within ``2k + 2`` units, a state has more than 32 features, or the model
+has a weight of ``2**1000`` or more, does it add each feature's float
+weights in feature order. Either way it picks what the float sums pick.
+Plain Python does both: no command loads numpy. Terminal cleanup after decoding
 guarantees every output is a valid single-rooted tree regardless of model
 quality, including the zero model.
 """
@@ -20,7 +26,6 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -304,50 +309,109 @@ def _parser_features(
     return feats
 
 
+# Training starts with fields this many bits wide.
+_NARROW_BITS = 32
+
+
 class AveragedWeights:
     """Multiclass perceptron weights with lazily accumulated averages.
 
     ``rows[feature]`` packs the feature's integer class weights into one
-    signed int, ``sum(w[feature, c] << (64 * c))``. A score vector is the
-    sum of the rows the features name plus 2**62 in every 64-bit field,
-    which keeps each field at or above 0: the fields stay apart while
-    ``|score| <= n_features * updates`` stays below 2**62. Each (feature,
-    class) pair that an update touched also keeps its weight, running total
-    and the update at which it last changed. Rows and classes are added as
-    updates first name them, so integer weights keep every score exact.
+    signed int, ``sum(w[feature, c] << (width * c))``. A score vector is
+    the sum of the rows the features name plus ``2**(width - 2)`` in every
+    field, which keeps each field in ``(0, 2**(width - 1))`` while
+    ``|score| <= len(features) * updates`` stays below ``2**(width - 2)``.
+    Fields are ``_NARROW_BITS`` (32) wide until a prediction's
+    ``len(features) * updates`` could reach that bound; then every row is
+    rebuilt once from the cells with 64-bit fields, whose bound is
+    ``2**62``. Each (feature, class) pair that an update touched also keeps
+    its weight, running total and the update at which it last changed.
+    Rows and classes are added as updates first name them, so integer
+    weights keep every score exact.
     """
 
     def __init__(self, classes: Sequence[str] = ()):
         self.classes: list[str] = []
         self._columns: dict[str, int] = {}
-        self._bias = 0
+        self._width = _NARROW_BITS
         self.rows: dict[str, int] = {}
         # feature -> column -> [weight, running total, update of last change]
         self._cells: dict[str, dict[int, list[int]]] = {}
-        self._pickers: dict[tuple[int, ...], itemgetter] = {}
+        # candidates -> the guard bits of their fields
+        self._guards_of: dict[tuple[int, ...], int] = {}
         self.updates = 0
+        self._layout()
         for cls in classes:
             self._column(cls)
+
+    def _layout(self) -> None:
+        """The constants of the field width and the columns."""
+        width = self._width
+        self._cap = 1 << (width - 2)
+        self._field = (1 << width) - 1
+        self._ones = ones = sum(1 << (width * col) for col in range(len(self.classes)))
+        self._bias = ones << (width - 2)
+        self._guards = ones << (width - 1)
+        # Per column: its shift, 1 in every field above it, and its guard bit.
+        self._fields = [
+            (width * col, ones >> (width * col + width) << (width * col + width),
+             1 << (width * col + width - 1))
+            for col in range(len(self.classes))
+        ]
+        self._guards_of.clear()
 
     def _column(self, cls: str) -> int:
         col = self._columns.get(cls)
         if col is None:
             col = self._columns[cls] = len(self.classes)
             self.classes.append(cls)
-            self._bias += 1 << (64 * col + 62)
+            self._layout()
         return col
 
-    def predict(self, features: Sequence[str], candidates: tuple[int, ...]) -> int:
+    def _widen(self) -> None:
+        """Rebuild every row with 64-bit fields."""
+        self._width = 64
+        self._layout()
+        self.rows = {
+            feature: sum(cell[0] << (64 * col) for col, cell in row.items())
+            for feature, row in self._cells.items()
+        }
+
+    def predict(
+        self,
+        features: Sequence[str],
+        candidates: tuple[int, ...],
+        expected: int | None = None,
+    ) -> int:
         """The candidate class with the highest score; the lowest index wins
-        ties. ``candidates`` are class indices in ascending order."""
+        ties. ``candidates`` are class indices in ascending order.
+
+        ``expected``, a class index, is tested first. With ``v`` its field,
+        ``2**(width - 1) + f - v - [c > expected]`` keeps the guard bit
+        ``2**(width - 1)`` exactly when the field ``f`` of class ``c`` beats
+        ``expected``, a tie going to the lower index. One subtraction forms
+        it in every field at once, and ``expected`` is returned when no
+        other candidate's guard bit is set. Only otherwise are the fields
+        unpacked.
+        """
         if len(candidates) == 1:
             return candidates[0]
+        if self._width < 64 and len(features) * self.updates >= self._cap:
+            self._widen()
         total = sum(filter(None, map(self.rows.get, features)), self._bias)
-        packed = total.to_bytes(8 * len(self.classes), sys.byteorder)
-        pick = self._pickers.get(candidates)
-        if pick is None:
-            pick = self._pickers[candidates] = itemgetter(*candidates)
-        scores = pick(memoryview(packed).cast("Q"))
+        field = self._field
+        if expected is not None:
+            guards = self._guards_of.get(candidates)
+            if guards is None:
+                guards = self._guards_of[candidates] = sum(
+                    self._fields[c][2] for c in candidates
+                )
+            shift, above, guard = self._fields[expected]
+            value = (total >> shift) & field
+            if ((total | self._guards) - (value * self._ones + above)) & guards == guard:
+                return expected
+        width = self._width
+        scores = [(total >> (width * c)) & field for c in candidates]
         return candidates[scores.index(max(scores))]
 
     def update(self, truth: str, guess: str, features: Sequence[str]) -> None:
@@ -357,7 +421,7 @@ class AveragedWeights:
             return
         now = self.updates
         up, down = self._column(truth), self._column(guess)
-        delta = (1 << 64 * up) - (1 << 64 * down)
+        delta = (1 << self._width * up) - (1 << self._width * down)
         rows, cells = self.rows, self._cells
         for feature in features:
             rows[feature] = rows.get(feature, 0) + delta
@@ -388,20 +452,57 @@ class AveragedWeights:
         return out
 
 
-_Rows = dict[str, tuple[tuple[int, float], ...]]
+# Decoding packs fixed-point weights into 32-bit fields: at most this many
+# rows, each field in [0, 2**26], sum below 2**32.
+_MAX_PACKED_ROWS = 32
+
+
+class _Rows:
+    """A model's weights in the two forms ``_decode`` reads.
+
+    ``pairs[feature]`` holds the feature's ``(column, weight)`` floats.
+    ``packed[feature]`` holds the same weights in fixed point, one 32-bit
+    field per column: ``round(ldexp(w, scale)) + 2**25``, a missing weight
+    being 0. ``scale`` puts the largest ``|w|`` of the model in
+    ``[2**24, 2**25)`` units, so every field is in ``[0, 2**26]``, and the
+    offset, equal in every field, changes no comparison. ``packed`` is
+    empty when no weight is non-zero, or one is not finite or is at least
+    ``2**1000``, where a float sum could overflow.
+    """
+
+    __slots__ = ("pairs", "packed", "masks")
+
+    def __init__(self, pairs: dict[str, tuple[tuple[int, float], ...]], n_classes: int):
+        self.pairs = pairs
+        self.packed: dict[str, int] = {}
+        # candidates -> all-ones in their fields
+        self.masks: dict[Sequence[int], int] = {}
+        weights = [w for row in pairs.values() for _, w in row]
+        top = max(map(abs, weights), default=0.0)
+        if not (0.0 < top < 2.0 ** 1000 and all(map(math.isfinite, weights))):
+            return
+        scale = 25 - math.frexp(top)[1]
+        offset = sum(1 << (32 * col + 25) for col in range(n_classes))
+        self.packed = {
+            feature: sum(
+                (round(math.ldexp(w, scale)) << (32 * col) for col, w in row), offset
+            )
+            for feature, row in pairs.items()
+            if row
+        }
 
 
 def _compile(
     weights: dict[str, dict[str, float]], classes: Sequence[str]
 ) -> tuple[_Rows, int]:
-    """Each feature's ``(column, weight)`` pairs and the number of columns;
-    weights of classes outside ``classes`` are dropped."""
+    """Each feature's weights in the forms ``_decode`` reads, and the number
+    of columns; weights of classes outside ``classes`` are dropped."""
     columns = {c: i for i, c in enumerate(classes)}
-    rows = {
+    pairs = {
         feature: tuple((columns[c], w) for c, w in row.items() if c in columns)
         for feature, row in weights.items()
     }
-    return rows, len(classes)
+    return _Rows(pairs, len(classes)), len(classes)
 
 
 def _decode(
@@ -409,15 +510,35 @@ def _decode(
 ) -> int:
     """The candidate class with the highest score; the lowest index wins ties.
 
-    Scores are summed in feature order, so they are the floats, and the
-    ties, that adding whole rows of a dense ``[feature, class]`` matrix one
-    after another gives: there a missing weight adds 0.0, and ``x + 0.0``
-    is ``x`` for any non-zero float.
+    Scores are the floats, and the ties, that adding each feature's weights
+    in feature order gives, as whole rows of a dense ``[feature, class]``
+    matrix would: there a missing weight adds 0.0, and ``x + 0.0`` is ``x``
+    for any non-zero float.
+
+    With k = ``len(features)``, the packed rows give every score in fixed
+    point within k/2 units of the exact sum of its weights, and the float
+    sum in feature order is within ``gamma(k - 1) * k * 2**25 < k**2 *
+    2**-28`` units of that. So when the top candidate's fixed-point score
+    beats every other's by more than ``2k + 2`` units, it is the float
+    argmax, and the only one. Otherwise (a near-tie, k above
+    ``_MAX_PACKED_ROWS``, or a model without packed rows) the float scores
+    are summed.
     """
     if len(candidates) == 1:
         return candidates[0]
+    k = len(features)
+    if k <= _MAX_PACKED_ROWS:
+        mask = rows.masks.get(candidates)
+        if mask is None:
+            mask = rows.masks[candidates] = sum(0xFFFFFFFF << (32 * c) for c in candidates)
+        # Other columns read 0, which no candidate's field is below.
+        total = sum(filter(None, map(rows.packed.get, features))) & mask
+        scores = memoryview(total.to_bytes(4 * n_classes, sys.byteorder)).cast("I").tolist()
+        ranked = sorted(scores)
+        if ranked[-1] - ranked[-2] > 2 * k + 2:
+            return scores.index(ranked[-1])
     scores = [0.0] * n_classes
-    for pairs in filter(None, map(rows.get, features)):
+    for pairs in filter(None, map(rows.pairs.get, features)):
         for col, weight in pairs:
             scores[col] += weight
     return max(candidates, key=scores.__getitem__)
@@ -443,8 +564,8 @@ class ParserModel:
         return (transitions, *_compile(self.weights, transitions.names))
 
 
-# Features, gold transition and valid candidates of one oracle state.
-_Step = tuple[tuple[str, ...], str, tuple[int, ...]]
+# Features, gold transition index and valid candidates of one oracle state.
+_Step = tuple[tuple[str, ...], int, tuple[int, ...]]
 
 
 def _oracle_steps(
@@ -459,9 +580,7 @@ def _oracle_steps(
         features = _parser_features(state, forms, tags)
         features = tuple(map(interned.setdefault, features, features))
         truth = static_oracle(gold, state)
-        out.append(
-            (features, interned.setdefault(truth, truth), transitions.candidates(state))
-        )
+        out.append((features, transitions.index[truth], transitions.candidates(state)))
         state.apply(truth)
     return out
 
@@ -505,8 +624,8 @@ def train_parser(tb: Treebank, epochs: int = 5, seed: int = 0) -> ParserModel:
                     projective[idx], transitions, interned
                 )
             for features, truth, candidates in replay:
-                guess = weights.predict(features, candidates)
-                weights.update(truth, names[guess], features)
+                guess = weights.predict(features, candidates, truth)
+                weights.update(names[truth], names[guess], features)
     return ParserModel(weights.averaged(), label_set, FEATURE_TEMPLATE_VERSION, skipped)
 
 
@@ -623,6 +742,7 @@ def train_tagger(tb: Treebank, epochs: int = 5, seed: int = 0) -> TaggerModel:
         if sum(counts.values()) >= _TAGDICT_MIN_FREQ and len(counts) == 1
     }
     class_list = sorted(classes)
+    columns = {c: i for i, c in enumerate(class_list)}
 
     weights = AveragedWeights(class_list)
     everything = tuple(range(len(class_list)))
@@ -638,7 +758,9 @@ def train_tagger(tb: Treebank, epochs: int = 5, seed: int = 0) -> TaggerModel:
                 guess = tagdict.get(lowers[i])
                 if guess is None:
                     features = _tagger_features(lowers, i, prev, prev2)
-                    guess = class_list[weights.predict(features, everything)]
+                    guess = class_list[
+                        weights.predict(features, everything, columns[tok.upos])
+                    ]
                     weights.update(tok.upos, guess, features)
                 prev2 = prev
                 prev = guess
@@ -709,12 +831,20 @@ def _number(kind: type, text: str, what: str, line_no: int):
     return value
 
 
+# Each row kind's number of fields, and how many of them name the row.
+_ROW_SHAPES = {"w": (4, 3), "label": (2, 2), "class": (2, 2), "tagdict": (3, 2), "meta": (3, 2)}
+
+
 def load_model(source: str | Path | bytes | IO) -> ParserModel | TaggerModel:
-    """Read a model file from a path, bytes or a stream, line by line."""
+    """Read a model file from a path, bytes or a stream, line by line. A row
+    that names what an earlier row named (the same feature and class, label,
+    class, tagdict word or meta key) is an error, as ``save_model`` never
+    writes one."""
     weights: dict[str, dict[str, float]] = {}
     labels: list[str] = []
     classes: list[str] = []
     tagdict: dict[str, str] = {}
+    line_of: dict[tuple[str, ...], int] = {}
     skipped = 0
     lines = conllu._lines(source)
     try:
@@ -731,22 +861,29 @@ def load_model(source: str | Path | bytes | IO) -> ParserModel | TaggerModel:
             if not line:
                 continue
             fields = line.split("\t")
-            if fields[0] == "w" and len(fields) == 4:
+            n_fields, n_named = _ROW_SHAPES.get(fields[0], (0, 0))
+            if len(fields) != n_fields:
+                raise ModelFormatError(f"line {line_no}: unrecognized row {line!r}")
+            name = tuple(fields[:n_named])
+            if line_of.setdefault(name, line_no) != line_no:
+                shown = "\t".join(name)
+                raise ModelFormatError(
+                    f"line {line_no}: {shown!r} repeats line {line_of[name]}"
+                )
+            if fields[0] == "w":
                 weights.setdefault(fields[1], {})[fields[2]] = _number(
                     float, fields[3], "weight", line_no
                 )
-            elif fields[0] == "label" and len(fields) == 2:
+            elif fields[0] == "label":
                 labels.append(fields[1])
-            elif fields[0] == "class" and len(fields) == 2:
+            elif fields[0] == "class":
                 classes.append(fields[1])
-            elif fields[0] == "tagdict" and len(fields) == 3:
+            elif fields[0] == "tagdict":
                 tagdict[fields[1]] = fields[2]
-            elif fields[0] == "meta" and len(fields) == 3:
+            else:
                 value = _number(int, fields[2], f"meta {fields[1]}", line_no)
                 if fields[1] == "nonprojective_skipped":
                     skipped = value
-            else:
-                raise ModelFormatError(f"line {line_no}: unrecognized row {line!r}")
     except conllu.ConlluFormatError as exc:  # the one that _lines raises
         raise ModelFormatError(exc.reason) from None
     if kind == "parser":

@@ -21,13 +21,21 @@ from cait.baseline import (
     train_parser,
     train_tagger,
 )
-from cait.conllu import Strictness, Treebank, conllu_string, read_conllu, validate
+from cait.conllu import (
+    MWTRange,
+    Strictness,
+    Treebank,
+    conllu_string,
+    read_conllu,
+    validate,
+)
 from cait.evaluation import evaluate_treebanks, tag_accuracy
 from helpers import P, build_sentence, build_treebank, london_gold
 from synth import (
     childes_treebank,
     formal_treebank,
     random_fuzz_sentence,
+    random_malformed_sentence,
     random_valid_sentence,
 )
 
@@ -440,6 +448,33 @@ def test_unreadable_model_names_what_is_wrong(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("w\tbias\tSHIFT\t1.0\nw\tbias\tSHIFT\t-5.0\n",
+     "line 3: 'w\\tbias\\tSHIFT' repeats line 2"),
+    ("w\tbias\tSHIFT\t1.0\nw\tb0p=DET\tSHIFT\t1.0\n\nw\tbias\tSHIFT\t1.0\n",
+     "line 5: 'w\\tbias\\tSHIFT' repeats line 2"),
+    ("label\tdep\nlabel\tdep\n", "line 3: 'label\\tdep' repeats line 2"),
+    ("meta\tnonprojective_skipped\t1\nmeta\tnonprojective_skipped\t2\n",
+     "line 3: 'meta\\tnonprojective_skipped' repeats line 2"),
+])
+def test_a_repeated_row_names_both_lines(rows, message):
+    with pytest.raises(ModelFormatError) as info:
+        load_model(io.StringIO("CAITB1\tparser\t1\n" + rows))
+    assert str(info.value) == message
+
+
+def test_saved_models_load_and_save_again_unchanged():
+    # save_model names each row once, so the repeat check rejects none.
+    tb = childes_treebank(30, seed=3)
+    for model in (train_parser(tb, epochs=2), train_tagger(tb, epochs=2)):
+        sink = io.StringIO()
+        save_model(model, sink)
+        loaded = load_model(io.StringIO(sink.getvalue()))
+        again = io.StringIO()
+        save_model(loaded, again)
+        assert again.getvalue() == sink.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # Byte identity with the dict-scored perceptron these digests were recorded
 # from: model files and decoded output must not change with the scorer.
@@ -455,6 +490,7 @@ _MODEL_DIGESTS = {
 }
 _PARSE_DIGEST = "73f8b9e26c36b10c09d6585e0e7c6243a486d522232a10266ca7dd4e31397ce7"
 _TAG_DIGEST = "9ac64416fbdc4fc6c280ace04c840b8338174d6301df637667b8338685f2f1d2"
+_MALFORMED_PARSE_DIGEST = "202dd26a55b57191bec348edf87e45b5853e29417f4c1af21e79342a0592276c"
 
 
 def _sha(text):
@@ -491,3 +527,26 @@ def test_decoded_output_matches_recorded_digests(digest_models):
     tagged = Treebank([tag(tagger, s) for s in held])
     assert _sha(conllu_string(parsed)) == _PARSE_DIGEST
     assert _sha(conllu_string(tagged)) == _TAG_DIGEST
+
+
+def test_parse_of_malformed_input_matches_recorded_digest(digest_models):
+    # The path that repair's parse takes: ids other than 1..n and multiword
+    # ranges that normalize drops send a sentence through normalize before
+    # decoding; self-loops and cycles only lose their heads.
+    rng = random.Random(26)
+    held = []
+    for i in range(300):
+        sentence = random_malformed_sentence(rng, f"m{i}")
+        if i % 3 == 0:
+            start = rng.randint(0, len(sentence.tokens))
+            sentence.mwt.append(MWTRange(start, start + rng.randint(-1, 3), "xy"))
+        held.append(sentence)
+    parsed = [parse(digest_models["parser", 0], s) for s in held]
+    assert sum(s.diagnostics[:1] != [] and s.diagnostics[0].code != "cleanup-attach"
+               for s in parsed) > 50
+    repairs = "".join(
+        f"{s.sent_id} {d.code} {d.message} {d.token_ids}\n"
+        for s in parsed for d in s.diagnostics
+    )
+    text = conllu_string(Treebank(parsed))
+    assert _sha(text + repairs) == _MALFORMED_PARSE_DIGEST

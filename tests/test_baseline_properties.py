@@ -7,8 +7,10 @@ set, skip count and model file, and the same exception, raised on the same
 sentence, on generated treebanks with non-projective trees and with
 projective self-loops and cycles that make the oracle fail. The oracle runs
 once per step, on the first visit, and never at zero epochs. The packed
-integer weights predict and average like the reference's numpy arrays, and
-the sparse float decoder picks what the reference's dense scorer picks.
+integer weights predict and average like the reference's numpy arrays,
+whatever class the oracle expects and across the widening of narrow fields,
+and the fixed-point decoder, with its float fallback, picks what the
+reference's dense scorer picks, near ties and beyond 32 features included.
 """
 
 import io
@@ -180,6 +182,69 @@ def test_predict_matches_the_reference(seed, n_classes, n_features):
     )
 
 
+@settings(max_examples=300)
+@given(st.integers(0, 2**32), st.integers(2, 8), st.integers(0, 45),
+       st.sampled_from(("near", "wide", "huge")))
+def test_packed_decode_matches_the_reference(seed, n_classes, n_features, kind):
+    rng = np.random.default_rng(seed)
+    unit = 2.0 ** int(rng.integers(-40, 40))
+    # Row 45, never a feature, sets the fixed-point unit: its weight is 2**24
+    # units. The others are a few units at most, in eighths of a unit, so
+    # most decodes are near-ties inside the margin, where whole units can
+    # order classes otherwise than the float sums.
+    matrix = rng.integers(-24, 25, (46, n_classes)) * (unit / 8)
+    matrix[45, 0] = 2.0 ** 24 * unit
+    if kind == "wide":
+        matrix[:45] *= 2.0 ** rng.integers(-4, 22, (45, 1))
+    elif kind == "huge":  # no fixed point: a weight of 2**1000 or more
+        matrix[int(rng.integers(0, 46)), 0] = 2.0 ** int(rng.integers(1000, 1015))
+    rows = {f"f{i}": i for i in range(46)}
+    features = [f"f{i}" for i in rng.choice(50, n_features, replace=False) if i != 45]
+    k = int(rng.integers(1, n_classes + 1))
+    candidates = tuple(sorted(rng.choice(n_classes, k, replace=False).tolist()))
+    classes = [f"c{j:02d}" for j in range(n_classes)]
+    weights = {
+        feature: {classes[c]: w for c, w in enumerate(matrix[r].tolist()) if w}
+        for feature, r in rows.items()
+    }
+    packed, n = baseline._compile(weights, classes)
+    assert baseline._decode(packed, n, features, candidates) == (
+        reference_baseline._predict(rows, matrix, features, candidates)
+    )
+
+
+class _Reads(dict):
+    """Float rows that count the decodes that read them."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def test_decode_sums_floats_only_when_fixed_point_cannot_tell():
+    # Where the largest weight is 1.0, one unit is 2**-24.
+    cases = [
+        ({"f0": {"A": 1.0, "B": 0.5}}, ["f0"], 0, False),
+        ({"f0": {"A": 1.0}, "f1": {"B": 1.0 - 2**-20}}, ["f0", "f1"], 0, False),
+        # 6 units apart with 2 features: inside the margin of 2k + 2 units.
+        ({"f0": {"A": 1.0}, "f1": {"B": 1.0 - 6 * 2**-24}}, ["f0", "f1"], 0, True),
+        # Both are 2**24 units (2**-25 each), and B is larger as floats.
+        ({"f0": {"A": 0.5, "B": 0.5 + 2**-26}}, ["f0"], 1, True),
+        ({"f0": {"A": 1.0, "B": 0.5}}, ["f0"] + [f"x{i}" for i in range(32)], 0, True),
+        ({"f0": {"A": 1.0, "B": 0.5}, "f1": {"B": 2.0**1000}}, ["f0"], 0, True),
+        ({"f0": {"A": 0.0, "B": 0.0}}, ["f0"], 0, True),
+    ]
+    for weights, features, best, summed in cases:
+        rows, n = baseline._compile(weights, ["A", "B"])
+        rows.pairs = _Reads(rows.pairs)
+        assert baseline._decode(rows, n, features, (0, 1)) == best
+        assert (rows.pairs.reads > 0) == summed, (weights, len(features))
+
+
 def test_decode_adds_weights_in_feature_order():
     # Class A sums to 0.0 in the order f0, f1, f2 and to 1.0 in reverse;
     # class B scores 0.5 either way.
@@ -197,10 +262,9 @@ _CLASSES = ("A", "B", "C", "D", "E")
 _FEATURES = tuple(f"f{i}" for i in range(8))
 
 
-@settings(max_examples=300)
-@given(st.integers(0, 3), st.data())
-def test_packed_weights_predict_and_average_like_the_reference(named, data):
-    # Classes named up front or first by an update; truth == guess too.
+def _predict_and_average_like_the_reference(named, data):
+    # Classes named up front or first by an update; truth == guess too; an
+    # update repeated, so that scores grow past narrow fields.
     live = baseline.AveragedWeights(_CLASSES[:named])
     ref = reference_baseline.AveragedWeights(_CLASSES[:named])
     for _ in range(data.draw(st.integers(0, 30))):
@@ -209,15 +273,70 @@ def test_packed_weights_predict_and_average_like_the_reference(named, data):
             candidates = tuple(sorted(data.draw(st.sets(
                 st.integers(0, len(live.classes) - 1), min_size=1
             ))))
-            assert live.predict(features, candidates) == reference_baseline._predict(
+            best = reference_baseline._predict(
                 ref.rows, ref.weights, features, np.array(candidates, dtype=np.intp)
             )
+            assert live.predict(features, candidates) == best
+            # Whatever the oracle expects: the winner, a loser, a class tied
+            # with the winner, or one that is not a candidate.
+            for expected in range(len(live.classes)):
+                assert live.predict(features, candidates, expected) == best
         truth = data.draw(st.sampled_from(_CLASSES))
         guess = data.draw(st.sampled_from(_CLASSES))
-        live.update(truth, guess, features)
-        ref.update(truth, guess, features)
+        for _ in range(data.draw(st.sampled_from((1, 1, 1, 12)))):
+            live.update(truth, guess, features)
+            ref.update(truth, guess, features)
         assert live.classes == ref.classes
     averaged, expected = live.averaged(), ref.averaged()
     assert [(f, list(row.items())) for f, row in averaged.items()] == [
         (f, list(row.items())) for f, row in expected.items()
     ]
+    return live
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3), st.data())
+def test_packed_weights_predict_and_average_like_the_reference(named, data):
+    _predict_and_average_like_the_reference(named, data)
+
+
+def test_an_expected_winner_is_answered_without_unpacking():
+    weights = baseline.AveragedWeights(_CLASSES)
+    for truth, guess in (("B", "A"), ("B", "C"), ("D", "A")):
+        weights.update(truth, guess, ["f0", "f1"])
+    unpacked = []
+
+    def counted(scores):  # the max over unpacked fields
+        unpacked.append(scores)
+        return max(scores)
+
+    everything = tuple(range(5))
+    with mock.patch.object(baseline, "max", counted, create=True):
+        assert weights.predict(["f0", "f1"], everything, 1) == 1
+        assert weights.predict(["f0"], (0, 2, 3), 3) == 3
+        assert unpacked == []
+        assert weights.predict(["f0", "f1"], everything, 3) == 1
+    assert unpacked == [[2**30 - 4, 2**30 + 4, 2**30 - 2, 2**30 + 2, 2**30]]
+
+
+def test_narrow_fields_widen_before_a_score_can_leave_them():
+    # Fields of 8 bits hold scores below 2**6: the rows must be rebuilt at
+    # 64 bits once len(features) * updates reaches 64.
+    widened = []
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 3), st.data())
+    def narrow(named, data):
+        widened.append(_predict_and_average_like_the_reference(named, data)._width == 64)
+
+    with mock.patch.object(baseline, "_NARROW_BITS", 8):
+        narrow()
+    assert any(widened) and not all(widened)
+
+
+def test_training_with_narrow_fields_matches_the_reference():
+    tb = Treebank(childes_treebank(40, seed=5).sentences + _CHILDES)
+    for seed in range(3):
+        expected, _ = _train(reference_baseline, tb, 3, seed)
+        with mock.patch.object(baseline, "_NARROW_BITS", 8):
+            assert _train(baseline, tb, 3, seed)[0] == expected

@@ -965,6 +965,25 @@ def test_non_finite_model_weight_is_one_error_line(capsys, tmp_path, corpus_path
     assert err == f"error: line 4: weight {weight!r} is not a finite number\n"
 
 
+@pytest.mark.parametrize("command, rows, message", [
+    ("tag", "class\tNOUN\nclass\tVERB\nw\tbias\tNOUN\t1.0\nw\tbias\tNOUN\t-5.0\n",
+     "line 5: 'w\\tbias\\tNOUN' repeats line 4"),
+    ("tag", "class\tNOUN\nclass\tNOUN\n", "line 3: 'class\\tNOUN' repeats line 2"),
+    ("tag", "class\tNOUN\ntagdict\tdog\tNOUN\ntagdict\tdog\tVERB\n",
+     "line 4: 'tagdict\\tdog' repeats line 3"),
+    ("parse", "label\tdet\nlabel\tnsubj\nlabel\tdet\n", "line 4: 'label\\tdet' repeats line 2"),
+])
+def test_a_repeated_model_row_is_one_error_line(capsys, tmp_path, corpus_path, command,
+                                                rows, message):
+    kind = "parser" if command == "parse" else "tagger"
+    model = tmp_path / "repeat.model"
+    model.write_text(f"CAITB1\t{kind}\t1\n{rows}", encoding="utf-8")
+    code, out, err = run(
+        capsys, command, "--input", str(corpus_path), "--model", str(model),
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_every_cait_error_class_is_a_value_error():
     import importlib
     import pkgutil
