@@ -810,10 +810,13 @@ def save_model(model: ParserModel | TaggerModel, sink: str | Path | IO) -> None:
         row = model.weights[feature]
         for cls in sorted(row):
             lines.append(f"w\t{feature}\t{cls}\t{row[cls]!r}")
-    for line in lines:  # the reader drops a line's trailing CRs
-        if line.endswith("\r"):
+    seen: set[str] = set()
+    for line in lines:  # the reader drops a line's trailing CRs, and rejects a repeat
+        if line.endswith("\r") or line in seen:
             kind, *_, value = line.split("\t")
-            raise ValueError(f"cannot save {kind} {value!r}: it ends in a carriage return")
+            why = "it ends in a carriage return" if line.endswith("\r") else "it repeats"
+            raise ValueError(f"cannot save {kind} {value!r}: {why}")
+        seen.add(line)
     conllu._write("\n".join(lines) + "\n", sink)
 
 

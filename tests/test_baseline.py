@@ -463,6 +463,18 @@ def test_a_repeated_row_names_both_lines(rows, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("model, message", [
+    (ParserModel({}, ["dep", "det", "dep"]), "cannot save label 'dep': it repeats"),
+    (TaggerModel({}, {}, ["X", "X"]), "cannot save class 'X': it repeats"),
+])
+def test_a_model_with_a_repeated_label_or_class_is_not_saved(model, message):
+    sink = io.StringIO()
+    with pytest.raises(ValueError) as info:
+        save_model(model, sink)
+    assert str(info.value) == message
+    assert sink.getvalue() == ""
+
+
 def test_saved_models_load_and_save_again_unchanged():
     # save_model names each row once, so the repeat check rejects none.
     tb = childes_treebank(30, seed=3)
