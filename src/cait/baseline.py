@@ -14,9 +14,9 @@ within k/2 units for k features; only when the top two candidates are
 within ``2k + 2`` units, a state has more than 32 features, or the model
 has a weight of ``2**1000`` or more, does it add each feature's float
 weights in feature order. Either way it picks what the float sums pick.
-Plain Python does both: no command loads numpy. Terminal cleanup after decoding
-guarantees every output is a valid single-rooted tree regardless of model
-quality, including the zero model.
+Plain Python does both: no command loads numpy. Terminal cleanup after
+decoding guarantees every output is a valid single-rooted tree regardless
+of model quality, including the zero model.
 """
 
 from __future__ import annotations
@@ -533,7 +533,8 @@ def _decode(
             mask = rows.masks[candidates] = sum(0xFFFFFFFF << (32 * c) for c in candidates)
         # Other columns read 0, which no candidate's field is below.
         total = sum(filter(None, map(rows.packed.get, features))) & mask
-        scores = memoryview(total.to_bytes(4 * n_classes, sys.byteorder)).cast("I").tolist()
+        packed = total.to_bytes(4 * n_classes, sys.byteorder)
+        scores = memoryview(packed).cast("I").tolist()
         ranked = sorted(scores)
         if ranked[-1] - ranked[-2] > 2 * k + 2:
             return scores.index(ranked[-1])
@@ -835,7 +836,9 @@ def _number(kind: type, text: str, what: str, line_no: int):
 
 
 # Each row kind's number of fields, and how many of them name the row.
-_ROW_SHAPES = {"w": (4, 3), "label": (2, 2), "class": (2, 2), "tagdict": (3, 2), "meta": (3, 2)}
+_ROW_SHAPES = {
+    "w": (4, 3), "label": (2, 2), "class": (2, 2), "tagdict": (3, 2), "meta": (3, 2),
+}
 
 
 def load_model(source: str | Path | bytes | IO) -> ParserModel | TaggerModel:

@@ -971,7 +971,8 @@ def test_non_finite_model_weight_is_one_error_line(capsys, tmp_path, corpus_path
     ("tag", "class\tNOUN\nclass\tNOUN\n", "line 3: 'class\\tNOUN' repeats line 2"),
     ("tag", "class\tNOUN\ntagdict\tdog\tNOUN\ntagdict\tdog\tVERB\n",
      "line 4: 'tagdict\\tdog' repeats line 3"),
-    ("parse", "label\tdet\nlabel\tnsubj\nlabel\tdet\n", "line 4: 'label\\tdet' repeats line 2"),
+    ("parse", "label\tdet\nlabel\tnsubj\nlabel\tdet\n",
+     "line 4: 'label\\tdet' repeats line 2"),
 ])
 def test_a_repeated_model_row_is_one_error_line(capsys, tmp_path, corpus_path, command,
                                                 rows, message):
