@@ -14,19 +14,12 @@ from typing import Callable, Iterable, Sequence
 
 from .conllu import Sentence, Token, Treebank
 
-__all__ = ["LintRule", "LintFinding", "LintReport", "lint_poss_det",
-           "lint_nn_nmod", "lint_all", "apply_fixes"]
+__all__ = ["LintRule", "LintFinding", "LintReport", "lint_all", "apply_fixes"]
 
 
 class LintRule(Enum):
     POSS_AS_DET = "POSS_AS_DET"
     NN_AS_NMOD = "NN_AS_NMOD"
-
-
-_SUGGESTION = {
-    LintRule.POSS_AS_DET: "nmod:poss",
-    LintRule.NN_AS_NMOD: "compound",
-}
 
 
 @dataclass(frozen=True)
@@ -79,20 +72,22 @@ def _is_nn_premodifier(sentence: Sentence, tok: Token) -> bool:
 
 _Candidate = Callable[[Sentence, Token], bool]
 
+# (rule, is_candidate, flagged deprel, suggested deprel)
+_Rule = tuple[LintRule, _Candidate, str, str]
+_RULES: tuple[_Rule, ...] = (
+    (LintRule.POSS_AS_DET, _is_possessive_pronoun, "det", "nmod:poss"),
+    (LintRule.NN_AS_NMOD, _is_nn_premodifier, "nmod", "compound"),
+)
 
-def _scan(
-    sentence: Sentence,
-    report: LintReport,
-    is_candidate: _Candidate,
-    flagged_deprel: str,
-) -> list[LintFinding]:
-    """Add the sentence's candidates to the report: flag those labeled
-    ``flagged_deprel``; those already labeled ``_SUGGESTION[rule]`` count
-    towards the rate only. Returns the sentence's findings."""
-    accepted = _SUGGESTION[report.rule]
+
+def _scan(sentence: Sentence, report: LintReport, row: _Rule) -> list[LintFinding]:
+    """Add the sentence's candidates to the report: flag those labeled with
+    the row's flagged deprel; those already labeled with its suggestion
+    count towards the rate only. Returns the sentence's findings."""
+    _, is_candidate, flagged_deprel, suggested = row
     findings = []
     for tok in sentence.tokens:
-        if tok.deprel in (flagged_deprel, accepted) and is_candidate(sentence, tok):
+        if tok.deprel in (flagged_deprel, suggested) and is_candidate(sentence, tok):
             report.n_candidates += 1
             if tok.deprel == flagged_deprel:
                 report.n_flagged += 1
@@ -102,7 +97,7 @@ def _scan(
                         tok.id,
                         report.rule,
                         tok.deprel,
-                        accepted,
+                        suggested,
                         _context(sentence, tok),
                     )
                 )
@@ -110,56 +105,27 @@ def _scan(
     return findings
 
 
-_RULES: tuple[tuple[LintRule, _Candidate, str], ...] = (
-    (LintRule.POSS_AS_DET, _is_possessive_pronoun, "det"),
-    (LintRule.NN_AS_NMOD, _is_nn_premodifier, "nmod"),
-)
-
-
-def _lint(
-    sentences: Iterable[Sentence],
-    rules: Sequence[tuple[LintRule, _Candidate, str]],
-    fixed: Callable[[Sentence], object] | None = None,
+def lint_all(
+    tb: Iterable[Sentence], fixed: Callable[[Sentence], object] | None = None
 ) -> list[LintReport]:
-    """One pass over the sentences, one report per rule; each sentence,
-    with its own findings' suggestions applied, goes to ``fixed``."""
-    reports = [LintReport(rule) for rule, _, _ in rules]
-    for sentence in sentences:
+    """Both rules' reports, in ``LintRule`` order, from one pass over
+    ``tb``, a treebank or any sentence iterable. Each rule is scanned on its
+    own, so each report is what that rule alone finds. With ``fixed``, each
+    sentence is passed to it as soon as it is linted, with its findings'
+    suggestions applied: what ``apply_fixes`` gives for it when sent_ids
+    are unique, as under a strict read."""
+    reports = [LintReport(rule) for rule, *_ in _RULES]
+    for sentence in tb:
         found = [
             f
-            for report, (_, is_candidate, flagged_deprel) in zip(reports, rules)
-            for f in _scan(sentence, report, is_candidate, flagged_deprel)
+            for report, row in zip(reports, _RULES)
+            for f in _scan(sentence, report, row)
         ]
         if fixed is not None:
             fixed(_fix(sentence, {f.token_id: f.suggested_deprel for f in found}))
     for report in reports:
         report.findings.sort(key=lambda f: (f.sent_id, f.token_id))
     return reports
-
-
-def lint_poss_det(tb: Iterable[Sentence]) -> LintReport:
-    """Possessive pronouns (PRON, Poss=Yes) attached as det.
-
-    Candidates are all possessive-pronoun prenominal modifiers: the flagged
-    tokens plus those already labeled nmod:poss.
-    """
-    return _lint(tb, _RULES[:1])[0]
-
-
-def lint_nn_nmod(tb: Iterable[Sentence]) -> LintReport:
-    """Noun-premodifying nouns attached as nmod instead of compound."""
-    return _lint(tb, _RULES[1:])[0]
-
-
-def lint_all(
-    tb: Iterable[Sentence], fixed: Callable[[Sentence], object] | None = None
-) -> list[LintReport]:
-    """Both rules' reports from one pass over ``tb``, a treebank or any
-    sentence iterable. With ``fixed``, each sentence is passed to it as soon
-    as it is linted, with its findings' suggestions applied: what
-    ``apply_fixes`` gives for it when sent_ids are unique, as under a
-    strict read."""
-    return _lint(tb, _RULES, fixed)
 
 
 def _fix(sentence: Sentence, fixes: dict[int, str] | None) -> Sentence:
