@@ -315,10 +315,10 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     from . import baseline
-    from .conllu import Strictness, read_conllu
+    from .conllu import Strictness, Treebank
 
     # Training needs every sentence once per epoch, so the treebank is held.
-    tb = read_conllu(_source(args.input), Strictness.STRICT)
+    tb = Treebank(list(_sentences(args.input, Strictness.STRICT)))
     if args.kind == "parser":
         model = baseline.train_parser(tb, epochs=args.epochs, seed=args.seed)
         skipped = model.n_nonprojective_skipped
@@ -496,11 +496,9 @@ def _run(args: argparse.Namespace) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, KeyError, OSError) as exc:
-        # Every cait data error is a ValueError, so no module is imported
-        # here. str() of a KeyError is the repr of its message.
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        sys.stderr.write(f"error: {message}\n")
+    except (ValueError, OSError) as exc:
+        # Every cait data error is a ValueError, so no module is imported here.
+        sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

@@ -749,21 +749,34 @@ POS_RULES: tuple[tuple[int, CxnLabel, Callable], ...] = (
 # Running a decision list
 # ---------------------------------------------------------------------------
 
-def _first_match(
-    view: _View, backend: Backend, rules: tuple, lexicon: FormulaicLexicon | None
+_RULES = {Backend.UD_RULES: UD_RULES, Backend.POS_RULES: POS_RULES}
+
+
+def _tag(
+    view: _View, backend: Backend, lexicon: FormulaicLexicon | None
 ) -> TaggedUtterance:
+    """The first matching rule of the backend's decision list; the UD list
+    first refuses a view whose tokens lack UPOS or deprel, unless it is a
+    transcription-marker exclusion."""
     lexicon = lexicon or FormulaicLexicon.default()
-    for ordinal, label, pred in rules:
+    if backend is Backend.UD_RULES:
+        missing = [t.id for t in view.tokens if t.upos == "_" or t.deprel == "_"]
+        if missing and not _is_exclusion(view, lexicon):
+            raise MissingAnnotationError(
+                f"sentence {view.sentence.sent_id}: tokens {missing} lack UPOS or "
+                "deprel annotation; use the POS_RULES backend for un-parsed input"
+            )
+    for ordinal, label, pred in _RULES[backend]:
         if pred(view, lexicon):
             return TaggedUtterance(view.sentence.sent_id, label, backend, ordinal)
     raise AssertionError("the last rule is total")  # pragma: no cover
 
 
 def _trace(
-    view: _View, rules: tuple, lexicon: FormulaicLexicon | None
+    view: _View, backend: Backend, lexicon: FormulaicLexicon | None
 ) -> list[tuple[int, CxnLabel, bool]]:
     lexicon = lexicon or FormulaicLexicon.default()
-    return [(o, label, bool(pred(view, lexicon))) for o, label, pred in rules]
+    return [(o, label, bool(pred(view, lexicon))) for o, label, pred in _RULES[backend]]
 
 
 def ud_rule_trace(
@@ -771,37 +784,27 @@ def ud_rule_trace(
 ) -> list[tuple[int, CxnLabel, bool]]:
     """Evaluate every UD rule predicate independently (for auditing the
     first-match property); rule 0 is the transcription-marker exclusion."""
-    return _trace(_View(sentence), UD_RULES, lexicon)
+    return _trace(_View(sentence), Backend.UD_RULES, lexicon)
 
 
 def tag_ud(
     sentence: Sentence, lexicon: FormulaicLexicon | None = None
 ) -> TaggedUtterance:
     """First matching step of the UD decision list wins."""
-    return _tag_ud(_View(sentence), lexicon)
-
-
-def _tag_ud(view: _View, lexicon: FormulaicLexicon | None) -> TaggedUtterance:
-    missing = [t.id for t in view.tokens if t.upos == "_" or t.deprel == "_"]
-    if missing and not _is_exclusion(view, lexicon):
-        raise MissingAnnotationError(
-            f"sentence {view.sentence.sent_id}: tokens {missing} lack UPOS or deprel "
-            "annotation; use the POS_RULES backend for un-parsed input"
-        )
-    return _first_match(view, Backend.UD_RULES, UD_RULES, lexicon)
+    return _tag(_View(sentence), Backend.UD_RULES, lexicon)
 
 
 def pos_rule_trace(
     sentence: Sentence, lexicon: FormulaicLexicon | None = None
 ) -> list[tuple[int, CxnLabel, bool]]:
-    return _trace(_View(sentence), POS_RULES, lexicon)
+    return _trace(_View(sentence), Backend.POS_RULES, lexicon)
 
 
 def tag_pos(
     sentence: Sentence, lexicon: FormulaicLexicon | None = None
 ) -> TaggedUtterance:
     """POS/word-order heuristics; total, never raises."""
-    return _first_match(_View(sentence), Backend.POS_RULES, POS_RULES, lexicon)
+    return _tag(_View(sentence), Backend.POS_RULES, lexicon)
 
 
 # ---------------------------------------------------------------------------
@@ -817,17 +820,14 @@ def tag_utterance(
     view that stripping built: one view for an utterance that keeps its
     tail, two for one whose tag question is stripped."""
     stripped, view = _strip(_View(sentence))
-    if backend is Backend.UD_RULES:
-        tagged = _tag_ud(view, lexicon)
-    else:
-        tagged = _first_match(view, Backend.POS_RULES, POS_RULES, lexicon)
+    tagged = _tag(view, backend, lexicon)
     if stripped is not sentence:  # the removed text is its last diagnostic
         tagged.stripped_tag_question = stripped.diagnostics[-1].message
     return tagged
 
 
 def _tag_each(
-    sentences: Iterable[Sentence], backend: Backend, lexicon: FormulaicLexicon
+    sentences: Iterable[Sentence], backend: Backend, lexicon: FormulaicLexicon | None
 ) -> Iterator[tuple[Sentence, TaggedUtterance | None, Exception | None]]:
     """Each sentence with its tag, or with the error that tagging it raised."""
     for sentence in sentences:
@@ -845,7 +845,6 @@ def tag_treebank(
     lexicon: FormulaicLexicon | None = None,
 ) -> tuple[list[TaggedUtterance], list[tuple[str, Exception]]]:
     """Tag every sentence; per-sentence failures are collected, never fatal."""
-    lexicon = lexicon or FormulaicLexicon.default()
     results = list(_tag_each(tb.sentences, backend, lexicon))
     tagged = [item for _, item, error in results if error is None]
     errors = [(s.sent_id, error) for s, _, error in results if error is not None]
@@ -882,7 +881,7 @@ def cxn_accuracy(
     speaker_totals: dict[str, list[int]] = {}
     for item in pred:
         if item.sent_id not in gold:
-            raise KeyError(f"sent_id {item.sent_id!r} missing from gold labels")
+            raise ValueError(f"sent_id {item.sent_id!r} missing from gold labels")
         g = gold[item.sent_id]
         rows[index[g]][index[item.label]] += 1
         hit = g is item.label

@@ -481,7 +481,7 @@ def test_cxn_accuracy_speaker_split():
 def test_cxn_accuracy_unknown_sent_id():
     from cait.cxntag import TaggedUtterance
 
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         cxn_accuracy(
             [TaggedUtterance("ghost", CxnLabel.SPI, Backend.UD_RULES, 11)], {}
         )
