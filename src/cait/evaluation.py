@@ -15,6 +15,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import zip_longest
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .conllu import ConlluError, Sentence, SpeakerRole, Token
@@ -292,24 +293,20 @@ class _Tally:
 
 class _Stream:
     """A sentence iterable, read to its end or to its first read error,
-    which is kept for ``_tally`` to raise in its turn. For a prediction it
-    also keeps what was scored on it and the first pair that did not align."""
+    which is kept for ``_tally`` to raise in its turn."""
 
-    def __init__(self, sentences: Iterable[Sentence], keep_scores: bool = False):
+    def __init__(self, sentences: Iterable[Sentence]):
         self._sentences = iter(sentences)
         self.count = 0
         self.error: ConlluError | OSError | None = None
-        self.tally = _Tally(keep_scores)
-        self.pair_error: AlignmentError | None = None
 
     def __iter__(self) -> Iterator[Sentence]:
-        if self.error is None:
-            try:
-                for sentence in self._sentences:
-                    self.count += 1
-                    yield sentence
-            except (ConlluError, OSError) as exc:
-                self.error = exc
+        try:
+            for sentence in self._sentences:
+                self.count += 1
+                yield sentence
+        except (ConlluError, OSError) as exc:
+            self.error = exc
 
 
 def _tally(
@@ -318,34 +315,32 @@ def _tally(
     universal_deprel_only: bool = False,
     keep_scores: bool = False,
 ) -> Iterator[_Tally]:
-    """Yield one tally per prediction, in order. Gold is read once, in
-    lockstep with every prediction, and each pair is aligned once, as it is
-    taken, so that no sentence or alignment outlives its pairs; each pair's
+    """Yield one tally per prediction, in order. Gold and every prediction
+    are read to their ends, or to their own read errors, in one lockstep
+    loop, and each pair is aligned once, as it is taken, so that no
+    sentence or alignment outlives its pairs; each pair's
     ``SentencePairScore`` is kept only with ``keep_scores``.
 
-    A prediction stops scoring at its first error while the others go on,
-    and every input is read to its end or to its own read error. A gold
-    read error is raised first; then, as each tally is taken, the first of
-    its prediction's errors in this order: a read error, differing sentence
-    counts, the pair's ``AlignmentError``. The order is that of reading
-    gold and each prediction whole before scoring them.
+    A prediction stops scoring at its first error while the others go on.
+    A gold read error is raised first; then, as each tally is taken, the
+    first of its prediction's errors in this order: a read error, differing
+    sentence counts, the pair's ``AlignmentError``. The order is that of
+    reading gold and each prediction whole before scoring them.
     """
     golds = _Stream(gold)
-    streams = [_Stream(pred, keep_scores) for pred in preds]
-    readers = [iter(stream) for stream in streams]
-    for gsent in golds:
-        for stream, reader in zip(streams, readers):
-            if stream.pair_error is None and (psent := next(reader, None)) is not None:
+    streams = [_Stream(pred) for pred in preds]
+    tallies = [_Tally(keep_scores) for _ in preds]
+    pair_errors: list[AlignmentError | None] = [None] * len(preds)
+    for gsent, *psents in zip_longest(golds, *streams):
+        for i, psent in enumerate(psents):
+            if gsent is not None and psent is not None and pair_errors[i] is None:
                 try:
-                    stream.tally.fold(gsent, align(gsent, psent), universal_deprel_only)
+                    tallies[i].fold(gsent, align(gsent, psent), universal_deprel_only)
                 except AlignmentError as exc:
-                    stream.pair_error = exc
-    for stream in (golds, *streams):
-        for _ in stream:  # to its end or to its read error
-            pass
+                    pair_errors[i] = exc
     if golds.error is not None:
         raise golds.error
-    for stream in streams:
+    for stream, tally, pair_error in zip(streams, tallies, pair_errors):
         if stream.error is not None:
             raise stream.error
         if golds.count != stream.count:
@@ -354,9 +349,9 @@ def _tally(
                 0,
                 f"sentence counts differ ({golds.count} vs {stream.count})",
             )
-        if stream.pair_error is not None:
-            raise stream.pair_error
-        yield stream.tally
+        if pair_error is not None:
+            raise pair_error
+        yield tally
 
 
 def tag_accuracy(
