@@ -223,14 +223,15 @@ DEFAULT_ROLE_MAP: dict[str, SpeakerRole] = {
     "adult": SpeakerRole.CDS,
 }
 
-_CHAT_AGE = re.compile(r"^(\d+);(\d+)(?:\.(\d+))?$")
+_CHAT_AGE = re.compile(r"^(\d+);(\d+)(?:\.(\d*))?$")
 
 # Mean Gregorian month, used to fold the day part of CHAT ages into months.
 _DAYS_PER_MONTH = 30.4375
 
 
 def parse_chat_age(value: str) -> float | None:
-    """Parse an age given either as CHAT ``Y;MM.DD`` or as plain months."""
+    """Parse an age given either as CHAT ``Y;MM.DD`` or as plain months.
+    CHAT may leave out the days, or write only their dot: ``2;06.``."""
     value = value.strip()
     # A CHAT age always has a ";"; plain months never do.
     if ";" in value and (m := _CHAT_AGE.match(value)):

@@ -50,7 +50,7 @@ def parse_feats(text: str) -> dict[str, str]:
 
 
 _COMMENT_KV = re.compile(r"^#\s*([^=]+?)\s*=\s*(.*)$")
-_CHAT_AGE = re.compile(r"^(\d+);(\d+)(?:\.(\d+))?$")
+_CHAT_AGE = re.compile(r"^(\d+);(\d+)(?:\.(\d*))?$")
 
 # Mean Gregorian month, used to fold the day part of CHAT ages into months.
 _DAYS_PER_MONTH = 30.4375

@@ -119,6 +119,16 @@ def test_parse_chat_age_forms():
     assert parse_chat_age("nonsense") is None
 
 
+def test_age_with_unknown_days_reads_as_whole_months():
+    # CHAT writes an age whose days are unknown with a bare trailing dot.
+    assert parse_chat_age("2;06.") == 30.0
+    assert parse_chat_age("2;") is None
+    text = "# sent_id = s1\n# child_age = 2;06.\n1\tyes\tyes\tINTJ\t_\t_\t0\troot\t_\t_\n"
+    (sentence,) = read_conllu(text.encode(), Strictness.LENIENT).sentences
+    assert sentence.child_age_months == 30.0
+    assert sentence.diagnostics == []
+
+
 @pytest.mark.parametrize("age", ["inf", "Infinity", "1e400", "-inf", "nan"])
 def test_non_finite_age_is_bad_age(age):
     assert parse_chat_age(age) is None
