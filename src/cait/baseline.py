@@ -118,17 +118,6 @@ class ParserState:
             attached,
         )
 
-    def valid_transitions(self, label_set: Sequence[str]) -> list[str]:
-        shift, left, right, reduce = self._moves()
-        out = [SHIFT] if shift else []
-        if left:
-            out.extend(_LEFT + l for l in label_set)
-        if right:
-            out.extend(_RIGHT + l for l in label_set)
-        if reduce:
-            out.append(REDUCE)
-        return out
-
     def _attach(self, child: int, head: int, label: str) -> None:
         self.heads[child] = head
         self.labels[child] = label
@@ -224,13 +213,19 @@ class _Transitions:
     indices of each (shift, left, right, reduce) combination."""
 
     def __init__(self, label_set: Sequence[str]):
-        self.label_set = list(label_set)
         self.names = sorted(
             {SHIFT, REDUCE}
             | {_LEFT + l for l in label_set}
             | {_RIGHT + l for l in label_set}
         )
-        self.index = {name: i for i, name in enumerate(self.names)}
+        self.index = index = {name: i for i, name in enumerate(self.names)}
+        # The indices of each move kind, in the order of ParserState._moves.
+        self._kinds = (
+            [index[SHIFT]],
+            [index[_LEFT + l] for l in label_set],
+            [index[_RIGHT + l] for l in label_set],
+            [index[REDUCE]],
+        )
         self._candidates: dict[tuple[bool, ...], tuple[int, ...]] = {}
 
     def candidates(self, state: ParserState) -> tuple[int, ...]:
@@ -238,9 +233,9 @@ class _Transitions:
         key = state._moves()
         found = self._candidates.get(key)
         if found is None:
-            found = self._candidates[key] = tuple(sorted(
-                {self.index[t] for t in state.valid_transitions(self.label_set)}
-            ))
+            found = self._candidates[key] = tuple(sorted({
+                i for allowed, kind in zip(key, self._kinds) if allowed for i in kind
+            }))
         return found
 
 
@@ -326,13 +321,12 @@ class AveragedWeights:
     rebuilt once from the cells with 64-bit fields, whose bound is
     ``2**62``. Each (feature, class) pair that an update touched also keeps
     its weight, running total and the update at which it last changed.
-    Rows and classes are added as updates first name them, so integer
-    weights keep every score exact.
+    The classes, one column each, are fixed at construction; rows are added
+    as updates first name them, and integer weights keep every score exact.
     """
 
-    def __init__(self, classes: Sequence[str] = ()):
-        self.classes: list[str] = []
-        self._columns: dict[str, int] = {}
+    def __init__(self, classes: Sequence[str]):
+        self.classes = list(classes)
         self._width = _NARROW_BITS
         self.rows: dict[str, int] = {}
         # feature -> column -> [weight, running total, update of last change]
@@ -341,8 +335,6 @@ class AveragedWeights:
         self._guards_of: dict[tuple[int, ...], int] = {}
         self.updates = 0
         self._layout()
-        for cls in classes:
-            self._column(cls)
 
     def _layout(self) -> None:
         """The constants of the field width and the columns."""
@@ -360,14 +352,6 @@ class AveragedWeights:
         ]
         self._guards_of.clear()
 
-    def _column(self, cls: str) -> int:
-        col = self._columns.get(cls)
-        if col is None:
-            col = self._columns[cls] = len(self.classes)
-            self.classes.append(cls)
-            self._layout()
-        return col
-
     def _widen(self) -> None:
         """Rebuild every row with 64-bit fields."""
         self._width = 64
@@ -378,10 +362,7 @@ class AveragedWeights:
         }
 
     def predict(
-        self,
-        features: Sequence[str],
-        candidates: tuple[int, ...],
-        expected: int | None = None,
+        self, features: Sequence[str], candidates: tuple[int, ...], expected: int
     ) -> int:
         """The candidate class with the highest score; the lowest index wins
         ties. ``candidates`` are class indices in ascending order.
@@ -400,33 +381,32 @@ class AveragedWeights:
             self._widen()
         total = sum(filter(None, map(self.rows.get, features)), self._bias)
         field = self._field
-        if expected is not None:
-            guards = self._guards_of.get(candidates)
-            if guards is None:
-                guards = self._guards_of[candidates] = sum(
-                    self._fields[c][2] for c in candidates
-                )
-            shift, above, guard = self._fields[expected]
-            value = (total >> shift) & field
-            if ((total | self._guards) - (value * self._ones + above)) & guards == guard:
-                return expected
+        guards = self._guards_of.get(candidates)
+        if guards is None:
+            guards = self._guards_of[candidates] = sum(
+                self._fields[c][2] for c in candidates
+            )
+        shift, above, guard = self._fields[expected]
+        value = (total >> shift) & field
+        if ((total | self._guards) - (value * self._ones + above)) & guards == guard:
+            return expected
         width = self._width
         scores = [(total >> (width * c)) & field for c in candidates]
         return candidates[scores.index(max(scores))]
 
-    def update(self, truth: str, guess: str, features: Sequence[str]) -> None:
-        """One perceptron step; ``features`` must not repeat a string."""
+    def update(self, truth: int, guess: int, features: Sequence[str]) -> None:
+        """One perceptron step between two class columns; ``features`` must
+        not repeat a string."""
         self.updates += 1
         if truth == guess:
             return
         now = self.updates
-        up, down = self._column(truth), self._column(guess)
-        delta = (1 << self._width * up) - (1 << self._width * down)
+        delta = (1 << self._width * truth) - (1 << self._width * guess)
         rows, cells = self.rows, self._cells
         for feature in features:
             rows[feature] = rows.get(feature, 0) + delta
             row = cells.setdefault(feature, {})
-            for col, step in ((up, 1), (down, -1)):
+            for col, step in ((truth, 1), (guess, -1)):
                 cell = row.get(col) or row.setdefault(col, [0, 0, now])
                 cell[1] += (now - cell[2]) * cell[0]
                 cell[2] = now
@@ -458,7 +438,9 @@ _MAX_PACKED_ROWS = 32
 
 
 class _Rows:
-    """A model's weights in the two forms ``_decode`` reads.
+    """A model's weights in the two forms ``_decode`` reads, with ``n``
+    columns, one per class of ``classes``; weights of other classes are
+    dropped.
 
     ``pairs[feature]`` holds the feature's ``(column, weight)`` floats.
     ``packed[feature]`` holds the same weights in fixed point, one 32-bit
@@ -470,19 +452,24 @@ class _Rows:
     ``2**1000``, where a float sum could overflow.
     """
 
-    __slots__ = ("pairs", "packed", "masks")
+    __slots__ = ("n", "pairs", "packed", "masks")
 
-    def __init__(self, pairs: dict[str, tuple[tuple[int, float], ...]], n_classes: int):
-        self.pairs = pairs
+    def __init__(self, weights: dict[str, dict[str, float]], classes: Sequence[str]):
+        columns = {c: i for i, c in enumerate(classes)}
+        self.n = len(classes)
+        self.pairs = pairs = {
+            feature: tuple((columns[c], w) for c, w in row.items() if c in columns)
+            for feature, row in weights.items()
+        }
         self.packed: dict[str, int] = {}
         # candidates -> all-ones in their fields
         self.masks: dict[Sequence[int], int] = {}
-        weights = [w for row in pairs.values() for _, w in row]
-        top = max(map(abs, weights), default=0.0)
-        if not (0.0 < top < 2.0 ** 1000 and all(map(math.isfinite, weights))):
+        values = [w for row in pairs.values() for _, w in row]
+        top = max(map(abs, values), default=0.0)
+        if not (0.0 < top < 2.0 ** 1000 and all(map(math.isfinite, values))):
             return
         scale = 25 - math.frexp(top)[1]
-        offset = sum(1 << (32 * col + 25) for col in range(n_classes))
+        offset = sum(1 << (32 * col + 25) for col in range(self.n))
         self.packed = {
             feature: sum(
                 (round(math.ldexp(w, scale)) << (32 * col) for col, w in row), offset
@@ -492,22 +479,7 @@ class _Rows:
         }
 
 
-def _compile(
-    weights: dict[str, dict[str, float]], classes: Sequence[str]
-) -> tuple[_Rows, int]:
-    """Each feature's weights in the forms ``_decode`` reads, and the number
-    of columns; weights of classes outside ``classes`` are dropped."""
-    columns = {c: i for i, c in enumerate(classes)}
-    pairs = {
-        feature: tuple((columns[c], w) for c, w in row.items() if c in columns)
-        for feature, row in weights.items()
-    }
-    return _Rows(pairs, len(classes)), len(classes)
-
-
-def _decode(
-    rows: _Rows, n_classes: int, features: Sequence[str], candidates: Sequence[int]
-) -> int:
+def _decode(rows: _Rows, features: Sequence[str], candidates: Sequence[int]) -> int:
     """The candidate class with the highest score; the lowest index wins ties.
 
     Scores are the floats, and the ties, that adding each feature's weights
@@ -533,12 +505,12 @@ def _decode(
             mask = rows.masks[candidates] = sum(0xFFFFFFFF << (32 * c) for c in candidates)
         # Other columns read 0, which no candidate's field is below.
         total = sum(filter(None, map(rows.packed.get, features))) & mask
-        packed = total.to_bytes(4 * n_classes, sys.byteorder)
+        packed = total.to_bytes(4 * rows.n, sys.byteorder)
         scores = memoryview(packed).cast("I").tolist()
         ranked = sorted(scores)
         if ranked[-1] - ranked[-2] > 2 * k + 2:
             return scores.index(ranked[-1])
-    scores = [0.0] * n_classes
+    scores = [0.0] * rows.n
     for pairs in filter(None, map(rows.pairs.get, features)):
         for col, weight in pairs:
             scores[col] += weight
@@ -560,9 +532,9 @@ class ParserModel:
     n_nonprojective_skipped: int = 0
 
     @cached_property
-    def _decoder(self) -> tuple[_Transitions, _Rows, int]:
+    def _decoder(self) -> tuple[_Transitions, _Rows]:
         transitions = _Transitions(self.label_set or ["dep"])
-        return (transitions, *_compile(self.weights, transitions.names))
+        return transitions, _Rows(self.weights, transitions.names)
 
 
 # Features, gold transition index and valid candidates of one oracle state.
@@ -610,8 +582,7 @@ def train_parser(tb: Treebank, epochs: int = 5, seed: int = 0) -> ParserModel:
     ) or ["dep"]
 
     transitions = _Transitions(label_set)
-    names = transitions.names
-    weights = AveragedWeights(names)
+    weights = AveragedWeights(transitions.names)
     steps: list[list[_Step] | None] = [None] * len(projective)
     interned: dict[str, str] = {}
     rng = random.Random(seed)
@@ -626,7 +597,7 @@ def train_parser(tb: Treebank, epochs: int = 5, seed: int = 0) -> ParserModel:
                 )
             for features, truth, candidates in replay:
                 guess = weights.predict(features, candidates, truth)
-                weights.update(names[truth], names[guess], features)
+                weights.update(truth, guess, features)
     return ParserModel(weights.averaged(), label_set, FEATURE_TEMPLATE_VERSION, skipped)
 
 
@@ -656,12 +627,12 @@ def parse(model: ParserModel, sentence: Sentence) -> Sentence:
     if _needs_normalize(sentence):
         sentence = conllu.normalize(sentence)
         diagnostics = list(sentence.diagnostics)
-    transitions, rows, n_classes = model._decoder
+    transitions, rows = model._decoder
     forms, tags = _parser_columns(sentence.tokens)
     state = ParserState(len(sentence.tokens))
     while not state.buffer_empty():
         features = _parser_features(state, forms, tags)
-        best = _decode(rows, n_classes, features, transitions.candidates(state))
+        best = _decode(rows, features, transitions.candidates(state))
         state.apply(transitions.names[best])
     heads, labels, attached = _cleanup(state)
     if attached:
@@ -689,9 +660,9 @@ class TaggerModel:
     version: int = FEATURE_TEMPLATE_VERSION
 
     @cached_property
-    def _decoder(self) -> tuple[list[str], _Rows, int]:
+    def _decoder(self) -> tuple[list[str], _Rows]:
         names = sorted(set(self.classes or ["X"]))
-        return (names, *_compile(self.weights, names))
+        return names, _Rows(self.weights, names)
 
 
 # Words at least this frequent and unambiguous in training bypass the model.
@@ -759,10 +730,10 @@ def train_tagger(tb: Treebank, epochs: int = 5, seed: int = 0) -> TaggerModel:
                 guess = tagdict.get(lowers[i])
                 if guess is None:
                     features = _tagger_features(lowers, i, prev, prev2)
-                    guess = class_list[
-                        weights.predict(features, everything, columns[tok.upos])
-                    ]
-                    weights.update(tok.upos, guess, features)
+                    truth = columns[tok.upos]
+                    best = weights.predict(features, everything, truth)
+                    weights.update(truth, best, features)
+                    guess = class_list[best]
                 prev2 = prev
                 prev = guess
     return TaggerModel(weights.averaged(), tagdict, class_list)
@@ -772,7 +743,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> Sentence:
     """Fill UPOS only; every other field is preserved."""
     if not sentence.tokens:
         raise ValueError("cannot tag an empty sentence")
-    names, rows, n_classes = model._decoder
+    names, rows = model._decoder
     lowers = [t.form.lower() for t in sentence.tokens]
     prev, prev2 = _START
     tags = []
@@ -780,7 +751,7 @@ def tag(model: TaggerModel, sentence: Sentence) -> Sentence:
         guess = model.tagdict.get(lowers[i])
         if guess is None:
             features = _tagger_features(lowers, i, prev, prev2)
-            guess = names[_decode(rows, n_classes, features, range(n_classes))]
+            guess = names[_decode(rows, features, range(rows.n))]
         tags.append(guess)
         prev2 = prev
         prev = guess

@@ -752,6 +752,15 @@ POS_RULES: tuple[tuple[int, CxnLabel, Callable], ...] = (
 _RULES = {Backend.UD_RULES: UD_RULES, Backend.POS_RULES: POS_RULES}
 
 
+def _rules(backend: Backend) -> tuple[tuple[int, CxnLabel, Callable], ...]:
+    """The backend's decision list; a ``ValueError`` for a non-member."""
+    rules = _RULES.get(backend)
+    if rules is None:
+        members = ", ".join(str(member) for member in Backend)
+        raise ValueError(f"backend {backend!r} is not one of {members}")
+    return rules
+
+
 def _tag(
     view: _View, backend: Backend, lexicon: FormulaicLexicon | None
 ) -> TaggedUtterance:
@@ -766,7 +775,7 @@ def _tag(
                 f"sentence {view.sentence.sent_id}: tokens {missing} lack UPOS or "
                 "deprel annotation; use the POS_RULES backend for un-parsed input"
             )
-    for ordinal, label, pred in _RULES[backend]:
+    for ordinal, label, pred in _rules(backend):
         if pred(view, lexicon):
             return TaggedUtterance(view.sentence.sent_id, label, backend, ordinal)
     raise AssertionError("the last rule is total")  # pragma: no cover
@@ -829,7 +838,9 @@ def tag_utterance(
 def _tag_each(
     sentences: Iterable[Sentence], backend: Backend, lexicon: FormulaicLexicon | None
 ) -> Iterator[tuple[Sentence, TaggedUtterance | None, Exception | None]]:
-    """Each sentence with its tag, or with the error that tagging it raised."""
+    """Each sentence with its tag, or with the error that tagging it raised;
+    a ``backend`` that is not a ``Backend`` raises before any is tagged."""
+    _rules(backend)
     for sentence in sentences:
         try:
             tagged = tag_utterance(sentence, backend, lexicon)

@@ -306,7 +306,9 @@ class _Stream:
                 self.count += 1
                 yield sentence
         except (ConlluError, OSError) as exc:
-            self.error = exc
+            # Its traceback holds this frame, and so the stream: a cycle
+            # that would keep the reader, and its file, open.
+            self.error = exc.with_traceback(None)
 
 
 def _tally(

@@ -116,13 +116,13 @@ def test_oracle_terminal_state_errors():
 # ---------------------------------------------------------------------------
 
 def test_averaged_weights_equal_mean_of_snapshots():
-    w = AveragedWeights()
-    # Three traceable updates; snapshots after each:
-    w.update("A", "B", ["f1", "f2"])
+    w = AveragedWeights(["A", "B"])
+    # Three traceable updates, by column (A is 0, B is 1); snapshots after each:
+    w.update(0, 1, ["f1", "f2"])
     # w: f1/f2 -> A:+1, B:-1
-    w.update("A", "B", ["f1"])
+    w.update(0, 1, ["f1"])
     # w: f1 -> A:+2, B:-2 ; f2 -> A:+1, B:-1
-    w.update("B", "A", ["f2"])
+    w.update(1, 0, ["f2"])
     # w: f2 -> A:0, B:0 ; f1 unchanged
     avg = w.averaged()
     # f1,A snapshots: 1, 2, 2 -> 5/3 ; f1,B: -1,-2,-2 -> -5/3
@@ -134,9 +134,9 @@ def test_averaged_weights_equal_mean_of_snapshots():
 
 
 def test_averaged_weights_drop_zero_entries():
-    w = AveragedWeights()
-    w.update("A", "B", ["f"])
-    w.update("B", "A", ["f"])  # cancels immediately? snapshots: +1 then 0
+    w = AveragedWeights(["A", "B"])
+    w.update(0, 1, ["f"])
+    w.update(1, 0, ["f"])  # cancels immediately? snapshots: +1 then 0
     avg = w.averaged()
     assert avg["f"]["A"] == pytest.approx(0.5)
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import logging
@@ -108,6 +109,33 @@ def test_eval_missing_file_is_data_error(capsys, corpus_path):
     )
     assert code == 1
     assert "no such file" in err
+
+
+@pytest.mark.parametrize("bad", [
+    b"1\ta\n",  # a format error
+    b"# sent_id = a\n1\tb\t_\tX\t_\t_\t1\troot\t_\t_\n",  # a tree error
+])
+@pytest.mark.parametrize("where", ["--gold", "--pred", "--baseline"])
+def test_a_failed_eval_closes_its_inputs(capsys, tmp_path, corpus_path, bad, where):
+    bad_path = tmp_path / "bad.conllu"
+    bad_path.write_bytes(bad)
+    inputs = {"--gold": corpus_path, "--pred": corpus_path, "--baseline": corpus_path}
+    inputs[where] = bad_path
+    argv = [arg for flag, path in inputs.items() for arg in (flag, str(path))]
+    # With the cyclic collector off, only reference counting closes a file.
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, err = run(capsys, "eval", *argv)
+        still_open = [
+            obj.name for obj in gc.get_objects()
+            if isinstance(obj, io.BufferedReader) and not obj.closed
+            and obj.name in {str(corpus_path), str(bad_path)}
+        ]
+    finally:
+        gc.enable()
+    assert code == 1 and err.startswith("error:")
+    assert still_open == []
 
 
 def test_unknown_flag_is_usage_error(capsys, corpus_path):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cait import cxntag
@@ -398,6 +400,17 @@ def test_tag_treebank_collects_errors_without_aborting():
     assert len(tagged) == 2
     assert len(errors) == 1
     assert errors[0][0] == "bad"
+
+
+@pytest.mark.parametrize("backend", ["ud", "pos", None])
+def test_a_backend_that_is_not_a_member_raises_value_error(backend):
+    good = build_sentence("good", [("hello", "hello", "INTJ", 0, "root"), P(1)])
+    message = f"backend {backend!r} is not one of Backend.UD_RULES, Backend.POS_RULES"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tag_utterance(good, backend)
+    # Raised once, before tagging, rather than collected per sentence.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tag_treebank(build_treebank([good, good]), backend)
 
 
 def test_tag_records_stripped_text():
