@@ -547,8 +547,10 @@ def _salvage_feats(text: str) -> dict[str, str]:
 # Writing
 # ---------------------------------------------------------------------------
 
-def sentence_lines(sentence: Sentence) -> list[str]:
-    """Comments, then each token line after the ranges that start at its id
+def sentence_text(sentence: Sentence) -> str:
+    """One sentence as CoNLL-U text, ending with the blank line after it.
+
+    Comments, then each token line after the ranges that start at its id
     and before the empty nodes anchored at it; empty nodes anchored at 0
     come first. A line is written once, at the first token of a duplicate
     id. Ranges and empty nodes whose start or anchor is no token id follow
@@ -577,12 +579,7 @@ def sentence_lines(sentence: Sentence) -> list[str]:
             str(tok.head), tok.deprel, tok.deps, tok.misc,
         ]))
         lines += empty.pop(tok.id, [])
-    return lines + orphans
-
-
-def sentence_text(sentence: Sentence) -> str:
-    """One sentence as CoNLL-U text, ending with the blank line after it."""
-    return "\n".join(sentence_lines(sentence)) + "\n\n"
+    return "\n".join(lines + orphans) + "\n\n"
 
 
 def conllu_string(tb: Treebank) -> str:
@@ -788,8 +785,8 @@ def normalize(
             )
             tok.deprel = mapped
 
-    toks, mwt, empty, renumber_diags = _renumber(toks, mwt, empty)
-    diags.extend(renumber_diags)
+    # From here on, token i is toks[i - 1].
+    empty = _renumber(toks, mwt, empty, diags)
 
     n = len(toks)
     if n == 0:
@@ -797,18 +794,14 @@ def normalize(
             sentence, tokens=toks, mwt=mwt, empty_nodes=empty, diagnostics=diags
         )
 
-    by_id = {t.id: t for t in toks}
-
     # Single root.
     roots = [t for t in toks if t.head == 0]
     if not roots:
-        chosen = _shallowest_cycle_free(toks)
-        diags.append(
-            Diagnostic("add-root", f"re-headed token {chosen.id} to root", (chosen.id,))
-        )
-        chosen.head = 0
-        chosen.deprel = "root"
-        root_tok = chosen
+        root_tok = _shallowest_cycle_free(toks)
+        diags.append(Diagnostic("add-root", f"re-headed token {root_tok.id} to root",
+                                (root_tok.id,)))
+        root_tok.head = 0
+        root_tok.deprel = "root"
     else:
         root_tok = roots[0]
         for extra in roots[1:]:
@@ -827,7 +820,7 @@ def normalize(
     for tok in toks:
         if tok is root_tok:
             continue
-        if tok.head == tok.id or tok.head not in by_id:
+        if tok.head == tok.id or not 0 < tok.head <= n:
             diags.append(
                 Diagnostic(
                     "reattach",
@@ -842,7 +835,7 @@ def normalize(
     # Break remaining cycles: smallest-id member re-heads to the root. The
     # cycles are disjoint, and a re-head to the root makes no new one.
     for members in sorted(map(sorted, _find_cycles(toks))):
-        fix = by_id[members[0]]
+        fix = toks[members[0] - 1]
         diags.append(
             Diagnostic(
                 "break-cycle",
@@ -893,24 +886,23 @@ def _kept_ranges(mwt: list[MWTRange], n: int) -> Iterator[tuple[MWTRange, bool]]
         yield r, kept
 
 
-def _renumber(
-    toks: list[Token], mwt: list[MWTRange], empty: list[EmptyNode]
-) -> tuple[list[Token], list[MWTRange], list[EmptyNode], list[Diagnostic]]:
+def _renumber(toks: list[Token], mwt: list[MWTRange], empty: list[EmptyNode],
+              diags: list[Diagnostic]) -> list[EmptyNode]:
+    """Renumber ``toks`` and ``mwt`` to 1..n in place; return ``empty`` moved."""
     n = len(toks)
     old_ids = [t.id for t in toks]
     if old_ids == list(range(1, n + 1)):
-        return toks, mwt, empty, []
-    diags = [Diagnostic("renumber", f"renumbered token ids to 1..{n}")]
+        return empty
+    diags.append(Diagnostic("renumber", f"renumbered token ids to 1..{n}"))
     positions: dict[int, list[int]] = {}
     for pos, tid in enumerate(old_ids):
         positions.setdefault(tid, []).append(pos)
 
     def resolve(old_head: int, dep_pos: int) -> int | None:
-        # Nearest occurrence at or before the dependent, else the first after;
-        # mirrors mid-sentence index resets where references stay local.
-        occ = positions.get(old_head)
-        if not occ:
-            return None
+        # Nearest occurrence strictly before the dependent, else the first
+        # after; mirrors mid-sentence index resets where references stay
+        # local. A head that is the dependent's own unique id resolves to None.
+        occ = positions.get(old_head, ())
         before = [p for p in occ if p < dep_pos]
         if before:
             return before[-1] + 1
@@ -931,13 +923,12 @@ def _renumber(
             tok.head = n + 1 if new_head is None else new_head  # dangling, fixed later
         tok.deps = _map_deps(tok.deps, lambda head: resolve(head, pos), anchor_of)
     for r in mwt:
-        r.start = old_first.get(r.start, 0)
-        r.end = old_first.get(r.end, 0)
+        r.start = anchor_of(r.start)
+        r.end = anchor_of(r.end)
     # An empty node follows its anchor's first occurrence, and so do the
     # integer heads of its DEPS.
-    empty = [_moved(node, anchor_of(node.anchor), old_first.get, anchor_of)
-             for node in empty]
-    return toks, mwt, empty, diags
+    return [_moved(node, anchor_of(node.anchor), old_first.get, anchor_of)
+            for node in empty]
 
 
 def _moved(node: EmptyNode, anchor: int, head: Callable[[int], int | None],
@@ -974,31 +965,19 @@ def _map_deps(deps: str, head: Callable[[int], int | None],
 
 
 def _shallowest_cycle_free(toks: list[Token]) -> Token:
-    by_id = {t.id: t for t in toks}
-    on_cycle: set[int] = set()
-    for members in _find_cycles(toks):
-        on_cycle.update(members)
-    best: tuple[int, int] | None = None
-    best_tok: Token | None = None
-    for tok in toks:
-        if tok.id in on_cycle:
-            continue
-        depth = 0
-        cur = tok
-        seen = set()
-        while cur.head != 0 and cur.head in by_id and cur.id not in seen:
-            if cur.head in on_cycle:
-                break
-            seen.add(cur.id)
-            cur = by_id[cur.head]
-            depth += 1
-        key = (depth, tok.id)
-        if best is None or key < best:
-            best = key
-            best_tok = tok
-    if best_tok is not None:
-        return best_tok
-    return min(toks, key=lambda t: t.id)  # everything sits on a cycle
+    """Of tokens 1..n, none with head 0: the lowest (depth, id) among tokens
+    off every cycle, else the first token. A walk up from a token off every
+    cycle stops before it enters one, so it never revisits a token."""
+    n = len(toks)
+    on_cycle = set().union(*_find_cycles(toks))
+
+    def depth(tok: Token) -> int:
+        steps, head = 0, tok.head
+        while 0 < head <= n and head not in on_cycle:
+            steps, head = steps + 1, toks[head - 1].head
+        return steps
+
+    return min((t for t in toks if t.id not in on_cycle), key=depth, default=toks[0])
 
 
 # ---------------------------------------------------------------------------

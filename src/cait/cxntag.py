@@ -278,11 +278,13 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     Detected either structurally (a sentence-final parataxis subtree of
     auxiliary + optional negation + pronoun) or by a closed surface list.
     A removed "?" is replaced with sentence-final "." unless the remainder
-    is itself interrogative. Identity when no tag is present. Idempotent
-    on an utterance with one appended tag; of two stacked tags, each call
-    removes the last. The removed surface text is logged as a
-    ``tag-question`` diagnostic. Builds one view of the sentence, and one
-    more of a stripped result, which ``tag_utterance`` tags.
+    is itself interrogative. When the removed tokens held the root, the
+    first kept token that hung from them takes its place, and the others
+    attach to it. Identity when no tag is present. Idempotent on an
+    utterance with one appended tag; of two stacked tags, each call removes
+    the last. The removed surface text is logged as a ``tag-question``
+    diagnostic. Builds one view of the sentence, and one more of a stripped
+    result, which ``tag_utterance`` tags.
     """
     return _strip(_View(sentence))[0]
 
@@ -314,6 +316,9 @@ def _strip(view: _View) -> tuple[Sentence, _View]:
     if not kept:
         return sentence, view
 
+    lost = [t for t in kept if t.head in removed]
+    if lost and view.root is not None and all(t.head for t in kept):
+        lost[0].head, lost[0].deprel = 0, "root"  # the root went with the tag
     root_id = next((t.id for t in kept if t.head == 0), kept[0].id)
     for tok in kept:
         if tok.head in removed:

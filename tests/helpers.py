@@ -93,6 +93,16 @@ LONDON_PRED_ROWS = [
     ("?", "?", "PUNCT", 7, "punct", {}, "."),
 ]
 
+# A valid tree whose root, the final "?", is stripped with the tag "right".
+STRIPPED_ROOT_ROWS = [
+    ("that", "that", "PRON", 3, "nsubj"),
+    ("'s", "be", "AUX", 3, "cop"),
+    ("good", "good", "ADJ", 6, "dep"),
+    (",", ",", "PUNCT", 5, "punct"),
+    ("right", "right", "INTJ", 3, "discourse"),
+    ("?", "?", "PUNCT", 0, "root"),
+]
+
 
 def london_gold():
     return build_sentence(

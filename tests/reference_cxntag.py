@@ -204,6 +204,9 @@ def strip_tag_question(sentence: Sentence) -> Sentence:
     if not kept:
         return sentence
 
+    lost = [t for t in kept if t.head in removed]
+    if lost and any(t.head == 0 for t in toks) and all(t.head for t in kept):
+        lost[0].head, lost[0].deprel = 0, "root"  # the root went with the tag
     root_id = next((t.id for t in kept if t.head == 0), kept[0].id)
     for tok in kept:
         if tok.head in removed:

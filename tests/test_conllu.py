@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from cait.conllu import (
     ConlluFormatError,
     Diagnostic,
+    MWTRange,
     SpeakerRole,
     Strictness,
     Token,
@@ -16,6 +18,7 @@ from cait.conllu import (
     normalize,
     parse_chat_age,
     read_conllu,
+    sentence_text,
     validate,
     write_conllu,
 )
@@ -489,6 +492,34 @@ def test_normalize_logs_repairs_in_diagnostics():
     out = normalize(sentence, {})
     assert any(isinstance(d, Diagnostic) and d.code == "extra-root"
                for d in out.diagnostics)
+
+
+# Every repair that normalize makes, pinned: rootless, cyclic, multi-root,
+# dangling and renumbered trees, a third of them with an added multiword
+# range. The digest covers the written output and every diagnostic in order.
+_MALFORMED_NORMALIZE_DIGEST = "a7d9168c27fe5c18c850f391af3706ad0f17e3653fd830295ae61aeebef13990"
+
+
+def test_normalize_of_malformed_input_matches_recorded_digest():
+    rng = random.Random(29)
+    label_map = {"obl": "nmod", "advmod": "root"}  # a mapped root label too
+    out = []
+    for i in range(600):
+        sentence = random_malformed_sentence(rng, f"m{i}")
+        if i % 3 == 0:
+            start = rng.randint(0, len(sentence.tokens))
+            sentence.mwt.append(MWTRange(start, start + rng.randint(-1, 3), "xy"))
+        out.append(normalize(sentence, label_map))
+    diags = [(s.sent_id, d) for s in out for d in s.diagnostics]
+    assert {d.code for _, d in diags} == {
+        "add-root", "break-cycle", "drop-mwt", "extra-root", "reattach",
+        "relabel", "renumber", "root-label",
+    }
+    text = "".join(map(sentence_text, out)) + "".join(
+        f"{sent_id} {d.code} {d.message} {d.token_ids}\n" for sent_id, d in diags
+    )
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == _MALFORMED_NORMALIZE_DIGEST
 
 
 def test_role_map_names_the_line_of_a_bad_role(tmp_path):

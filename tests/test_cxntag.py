@@ -21,7 +21,9 @@ from cait.cxntag import (
     ud_rule_trace,
 )
 from cxn_fixture import CANONICAL_IDS, UTTERANCES
-from helpers import P, Q, build_sentence, build_treebank, london_gold
+from helpers import (
+    STRIPPED_ROOT_ROWS, P, Q, build_sentence, build_treebank, london_gold,
+)
 
 
 def fixture_sentences():
@@ -112,6 +114,19 @@ def test_strip_thats_good_isnt_it():
     out = strip_tag_question(sentence)
     assert [t.form for t in out.tokens] == ["that", "'s", "good", "."]
     assert validate(out) == []
+
+
+def test_a_stripped_root_passes_to_the_first_kept_token_under_it():
+    # The root is the final "?", stripped with the tag "right": "good", the
+    # first kept token that hung from a stripped one, becomes the root.
+    sentence = build_sentence("stripped-root", STRIPPED_ROOT_ROWS)
+    out = strip_tag_question(sentence)
+    assert [(t.form, t.head, t.deprel) for t in out.tokens] == [
+        ("that", 3, "nsubj"), ("'s", 3, "cop"), ("good", 0, "root"), (".", 3, "punct"),
+    ]
+    assert validate(out) == []
+    tagged = tag_utterance(sentence, Backend.UD_RULES)
+    assert (tagged.label, tagged.fired_rule) == (CxnLabel.COP, 6)
 
 
 @pytest.mark.parametrize("negation", ["n't", "n’t"])

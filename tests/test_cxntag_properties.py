@@ -9,9 +9,10 @@ must also be total on lenient reads.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_cxntag
@@ -25,6 +26,7 @@ from cait.conllu import (
     Treebank,
     conllu_string,
     read_conllu,
+    validate,
 )
 from cait.cxntag import (
     Backend,
@@ -37,7 +39,7 @@ from cait.cxntag import (
     ud_rule_trace,
 )
 from cxn_fixture import UTTERANCES
-from helpers import build_sentence, london_gold
+from helpers import STRIPPED_ROOT_ROWS, build_sentence, london_gold
 
 _KINDS = ("fixture", "fixture", "london", "childes", "valid", "malformed", "fuzz")
 
@@ -210,6 +212,9 @@ def _outcome(fn, *args):
     return result
 
 
+_STRIPPED_ROOT = build_sentence("stripped-root", STRIPPED_ROOT_ROWS)
+
+
 _PAIRS = (
     (strip_tag_question, reference_cxntag.strip_tag_question),
     (tag_ud, reference_cxntag.tag_ud),
@@ -242,6 +247,7 @@ _PAIRS = (
 @example(_sentence("fixture", 0, ["tag"], 32))  # "okay", then a "?" that is not PUNCT
 @example(_sentence("fixture", 23, ["tag"], 17))  # "right", then a "," that is not PUNCT
 @example(_sentence("fixture", 0, ["tag"], 5))  # "is it": a form with a space
+@example(_STRIPPED_ROOT)  # the root goes with the tag: "good" takes its place
 def test_tagging_matches_reference(sentence):
     for s in (sentence, _lenient(sentence)):
         for live, reference in _PAIRS:
@@ -278,6 +284,35 @@ def test_strip_tag_question_is_idempotent_on_lenient_reads(sentence):
     once = strip_tag_question(_lenient(sentence))
     assert strip_tag_question(once) == once
 
+
+def _rerooted(sentence: Sentence, index: int) -> Sentence:
+    """A copy of ``sentence``, a valid tree, rooted at its token ``index``
+    (taken modulo the length): the heads on the path from that token to the
+    old root are reversed, and the old root becomes a ``dep``."""
+    toks = [t.copy() for t in sentence.tokens]
+    tok = toks[index % len(toks)]
+    prev = 0
+    while tok.head:
+        nxt = toks[tok.head - 1]
+        tok.head = prev
+        prev, tok = tok.id, nxt
+    if prev:
+        tok.head, tok.deprel = prev, "dep"
+        toks[index % len(toks)].deprel = "root"
+    return replace(sentence, tokens=toks)
+
+
+@settings(max_examples=300)
+@given(sentences(), st.integers(-3, 10**6))
+@example(_STRIPPED_ROOT, 0)
+def test_stripping_a_valid_tree_leaves_a_valid_tree(sentence, index):
+    # A negative index roots the tree at one of its last tokens, which a tag
+    # question holds; index 0 keeps the tree as it is.
+    assume(validate(sentence) == [])
+    if index:
+        sentence = _rerooted(sentence, index)
+    assert validate(sentence) == []
+    assert validate(strip_tag_question(sentence)) == []
 
 
 def _punct(head: int, form: str = ".") -> tuple:
